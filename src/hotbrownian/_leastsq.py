@@ -1,4 +1,6 @@
-"""Small damped Gauss-Newton engine for the package's nonlinear fits.
+"""Least-squares engines: the straight-line fit behind every linear
+regression of the package, and a small damped Gauss-Newton loop for
+the nonlinear fits.
 
 Both spectral (Lorentzian PSD) and spin-resonance (double-dip) fits are
 smooth few-parameter least-squares problems with analytic Jacobians; a
@@ -50,6 +52,26 @@ class GnResult:
         dof = max(n_data - self.params.size, 1)
         var = np.diag(self.cov_unscaled) * self.cost / dof
         return np.sqrt(np.clip(var, 0.0, None))
+
+
+def line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray | None = None):
+    """Straight-line fit y = slope*x + intercept; returns (slope, intercept, cov).
+
+    ``cov`` is the 2x2 covariance of (slope, intercept).  With per-point
+    sigmas it is the exact inverse Fisher matrix; without, it is scaled
+    by the residual variance.
+    """
+    design = np.column_stack([x, np.ones_like(x)])
+    if sigma is not None:
+        w = 1.0 / sigma
+        coeffs, *_ = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)
+        cov = np.linalg.inv((design * (w**2)[:, None]).T @ design)
+    else:
+        coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coeffs
+        dof = max(x.size - 2, 1)
+        cov = np.linalg.inv(design.T @ design) * float(resid @ resid) / dof
+    return float(coeffs[0]), float(coeffs[1]), cov
 
 
 def least_squares_gn(

@@ -259,11 +259,11 @@ def write_report(report: CampaignReport, outdir, format: str = "csv") -> Path:
         rows,
     )
 
-    offset = report.heating_fit.strain_offset_K if report.heating_fit else 0.0
+    heating_fit = report.heating_fit
     rows = [
         [float(t.pressure), float(t.laser_power), float(t.temperature),
          float(t.sigma) if t.sigma is not None else 0.0,
-         float(t.temperature - offset)]
+         float(heating_fit.corrected_temperature(t) if heating_fit else t.temperature)]
         for t in report.temperatures
     ]
     _write_csv(

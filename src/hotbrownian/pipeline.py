@@ -21,12 +21,13 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import CONSTANTS, GasEnvironment, ParticleModel, hpa_to_pa, mw_to_w
+from ._leastsq import line_fit
+from .core import CONSTANTS, GasEnvironment, ParticleModel, Sphere, mw_to_w
 from .errors import CalibrationError, ConfigError, DomainError, EstimationError, HotBrownianError
 from .simulate import AnomalyInjection, SimulationConfig, simulate_esr, simulate_trace
 from .spectral import PsdFit, fit_psd, welch_psd
@@ -39,7 +40,7 @@ from .thermometry import (
     fit_heating_law,
     temperature_from_esr,
 )
-from .twobath import HeatingLaw
+from .twobath import _ALPHA_PER_COUPLING, HeatingLaw, sphere_drag
 
 __all__ = [
     "PowerSweepPoint",
@@ -100,25 +101,6 @@ class CalibrationResult:
     n_points: int
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray | None):
-    """Weighted straight-line fit; returns (slope, intercept, 2x2 covariance).
-
-    With per-point sigmas the covariance is the exact inverse Fisher
-    matrix; without, it is scaled by the residual variance.
-    """
-    design = np.column_stack([x, np.ones_like(x)])
-    if sigma is not None:
-        w = 1.0 / sigma
-        coeffs, *_ = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)
-        cov = np.linalg.inv((design * (w**2)[:, None]).T @ design)
-    else:
-        coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = y - design @ coeffs
-        dof = max(x.size - 2, 1)
-        cov = np.linalg.inv(design.T @ design) * float(resid @ resid) / dof
-    return float(coeffs[0]), float(coeffs[1]), cov
-
-
 def calibrate(
     sweep: Sequence[PowerSweepPoint], room_temperature: float = 294.0
 ) -> CalibrationResult:
@@ -151,7 +133,7 @@ def calibrate(
         areas = np.array([pt.normalized_area(axis) for pt in sweep])
         sigmas = np.array([pt.fits[axis].normalized_area_sigma for pt in sweep])
         use_sigma = sigmas if np.all(np.isfinite(sigmas) & (sigmas > 0)) else None
-        b, a0, cov = _line_fit(powers, areas, use_sigma)
+        b, a0, cov = line_fit(powers, areas, use_sigma)
         sig_a0 = math.sqrt(max(cov[1, 1], 0.0))
         if a0 <= 0:
             raise CalibrationError(
@@ -262,8 +244,8 @@ def extract_k(
         else None
     )
 
-    slope_e, _, cov_e = _line_fit(p_e, energies, e_sigma)
-    slope_t, _, cov_t = _line_fit(p_t, temps, t_sigma)
+    slope_e, _, cov_e = line_fit(p_e, energies, e_sigma)
+    slope_t, _, cov_t = line_fit(p_t, temps, t_sigma)
     sig_e = math.sqrt(max(cov_e[0, 0], 0.0))
     sig_t = math.sqrt(max(cov_t[0, 0], 0.0))
     if abs(slope_t) <= 2.0 * sig_t:
@@ -275,12 +257,11 @@ def extract_k(
     k_value = slope_e / (CONSTANTS.k_B * slope_t)
     rel = math.hypot(sig_e / slope_e if slope_e else 0.0, sig_t / slope_t)
     k_sigma = abs(k_value) * rel
-    scale = (math.pi + 8.0) / math.pi
     return KEstimate(
         K=k_value,
         K_sigma=k_sigma,
-        alpha_c=k_value * scale,
-        alpha_c_sigma=k_sigma * scale,
+        alpha_c=k_value * _ALPHA_PER_COUPLING,
+        alpha_c_sigma=k_sigma * _ALPHA_PER_COUPLING,
         slope_energy=slope_e,
         slope_energy_sigma=sig_e,
         slope_temperature=slope_t,
@@ -358,9 +339,7 @@ def classify_overheating(
     if k_bar - ns * sigma_bar > thresholds.overheated_k:
         return "overheated"
     if np.unique(pressures).size >= 2 and k_bar - ns * sigma_bar > thresholds.elevated_k:
-        slope, _, cov = _line_fit(
-            1.0 / pressures, k_values, np.maximum(sigmas, 1e-12)
-        )
+        slope, _, cov = line_fit(1.0 / pressures, k_values, np.maximum(sigmas, 1e-12))
         if slope - ns * math.sqrt(max(cov[0, 0], 0.0)) > 0:
             return "overheated"
     return "undetermined"
@@ -379,30 +358,16 @@ def hydrodynamic_radius(
 ) -> float:
     """Effective (Epstein) particle radius [m] from a fitted linewidth.
 
-    Inverts the free-molecular sphere drag at ambient temperature,
-
-        r = 0.619 * (9 / (sqrt(2*pi) * rho)) * sqrt(M / (N_A k_B T)) * p / Gamma,
-
-    with Gamma = 2*pi*gamma_hz.  The 0.619 factor folds the diffuse
-    re-emission enhancement into the classic specular coefficient.
+    The exact inverse of :func:`~hotbrownian.twobath.sphere_drag` at
+    ambient temperature: the drag rate scales as 1/R, so the radius is
+    the drag of a unit-radius sphere of ``particle_density``, in ``gas``
+    at ``pressure_hpa`` and ``room_temperature``, over Gamma = 2*pi*gamma_hz.
     """
     if gamma_hz <= 0:
         raise DomainError(f"gamma must be > 0 Hz, got {gamma_hz}")
-    if pressure_hpa <= 0:
-        raise DomainError(f"pressure must be > 0 hPa, got {pressure_hpa}")
-    if particle_density <= 0:
-        raise DomainError("particle density must be > 0")
-    gamma_rad = 2.0 * math.pi * gamma_hz
-    thermal_factor = math.sqrt(
-        gas.molar_mass / (CONSTANTS.N_A * CONSTANTS.k_B * room_temperature)
-    )
-    return (
-        0.619
-        * (9.0 / (math.sqrt(2.0 * math.pi) * particle_density))
-        * thermal_factor
-        * hpa_to_pa(pressure_hpa)
-        / gamma_rad
-    )
+    ambient = replace(gas, pressure=pressure_hpa, temperature=room_temperature)
+    unit_sphere = ParticleModel(shape=Sphere(radius=1.0), density=particle_density)
+    return sphere_drag(unit_sphere, ambient) / (2.0 * math.pi * gamma_hz)
 
 
 # =============================================================================
@@ -493,15 +458,17 @@ def _record(errors: list, stage: str, message: str, **where) -> None:
     log.warning("campaign %s failed (%s): %s", stage, where, message)
 
 
-def run_campaign(config: CampaignConfig) -> CampaignReport:
-    """Run the full simulate-measure-estimate loop over a campaign grid.
+def _measure(
+    config: CampaignConfig, law: ZfsLaw, gases: dict
+) -> tuple[list, list, list]:
+    """Simulate and measure every cell of the campaign grid.
 
-    Every (pressure, power, repetition) cell simulates a trace, fits its
-    per-axis PSDs, and every (pressure, power) cell acquires one ESR
-    spectrum.  Cell failures are recorded in the report and the campaign
-    continues; an empty grid yields an empty report.
+    Each (pressure, power, repetition) cell fits the PSDs of one trace
+    into a :class:`PowerSweepPoint`; each (pressure, power) cell turns
+    one ESR spectrum into a :class:`TemperaturePoint`.  Returns
+    ``(points, temperatures, errors)``; a failed cell is recorded in
+    ``errors`` and skipped.
     """
-    t_start = time.perf_counter()
     pressures = tuple(config.pressures_hpa)
     powers = tuple(config.laser_powers_mw)
     reps = config.repetitions
@@ -515,20 +482,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         max(n_trace + n_esr, 1), dtype=np.uint64
     )
 
-    def trace_seed(ip: int, ipow: int, rep: int) -> int:
-        return int(seeds[(ip * len(powers) + ipow) * reps + rep])
-
-    def esr_seed(ip: int, ipow: int) -> int:
-        return int(seeds[n_trace + ip * len(powers) + ipow])
-
-    law = config.zfs_law if config.zfs_law is not None else default_zfs_law()
-
     for ip, pressure in enumerate(pressures):
-        gas = GasEnvironment(
-            pressure=pressure,
-            molar_mass=config.molar_mass,
-            temperature=config.room_temperature,
-        )
         log.info("campaign: pressure %.6g hPa", pressure)
         for ipow, power_mw in enumerate(powers):
             if not config.thermometry_only:
@@ -537,10 +491,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                         sim = SimulationConfig(
                             dt=config.dt_s,
                             duration=config.duration_s,
-                            rng_seed=trace_seed(ip, ipow, rep),
+                            rng_seed=int(seeds[(ip * len(powers) + ipow) * reps + rep]),
                             axes=tuple(config.axes),
                             laser_power=mw_to_w(power_mw),
-                            gas=gas,
+                            gas=gases[pressure],
                             particle=config.particle,
                             heating=config.heating,
                             alpha_c=config.alpha_c,
@@ -586,7 +540,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                     config.esr.contrast,
                     config.esr.linewidth_hz,
                     config.esr.noise_level,
-                    esr_seed(ip, ipow),
+                    int(seeds[n_trace + ip * len(powers) + ipow]),
                     baseline_counts=config.esr.baseline_counts,
                     center_offset_hz=config.esr.center_offset_hz,
                 )
@@ -604,7 +558,22 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 )
             except (HotBrownianError, np.linalg.LinAlgError) as exc:
                 _record(errors, "esr", str(exc), pressure=pressure, power=power_mw)
+    return points, temperatures, errors
 
+
+def _estimate(
+    config: CampaignConfig,
+    gases: dict,
+    points: list,
+    temperatures: list,
+    errors: list,
+) -> tuple[HeatingFit | None, dict, dict, HbmEstimate | None]:
+    """Heating law, per-pressure calibrations and radii, and coupling estimate.
+
+    Returns ``(heating_fit, calibrations, radius, estimate)``.  Failed
+    steps are appended to ``errors``; without PSD points or a heating
+    fit there is no calibration, radius or estimate.
+    """
     heating_fit: HeatingFit | None = None
     if temperatures:
         try:
@@ -614,134 +583,138 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     calibrations: dict[float, CalibrationResult] = {}
     radius: dict[float, float] = {}
-    estimate: HbmEstimate | None = None
+    if not points or heating_fit is None:
+        return heating_fit, calibrations, radius, None
 
-    if points and heating_fit is not None:
-        axes_labels = sorted({axis for pt in points for axis in pt.fits})
-        per_pressure: dict[str, list[KMeasurement]] = {a: [] for a in axes_labels}
+    # Every point carries every configured axis: a cell that fails on one
+    # axis is dropped whole.
+    labels = sorted(points[0].fits)
+    per_pressure: dict[str, list[KMeasurement]] = {a: [] for a in labels}
+    for pressure in config.pressures_hpa:
+        sweep_p = [pt for pt in points if pt.pressure_hpa == pressure]
+        if not sweep_p:
+            continue
+        try:
+            calib = calibrate(sweep_p, config.room_temperature)
+        except CalibrationError as exc:
+            _record(errors, "calibrate", str(exc), pressure=pressure)
+            continue
+        calibrations[pressure] = calib
 
-        for pressure in pressures:
-            sweep_p = [pt for pt in points if pt.pressure_hpa == pressure]
-            if not sweep_p:
-                continue
-            try:
-                calib = calibrate(sweep_p, config.room_temperature)
-                calibrations[pressure] = calib
-            except CalibrationError as exc:
-                _record(errors, "calibrate", str(exc), pressure=pressure)
-                continue
+        # Epstein radius from the mean linewidth of the first axis.
+        gammas = [pt.fits[labels[0]].gamma for pt in sweep_p]
+        radius[pressure] = hydrodynamic_radius(
+            float(np.mean(gammas)),
+            pressure,
+            gases[pressure],
+            particle_density=config.particle.density,
+            room_temperature=config.room_temperature,
+        )
 
-            # Epstein radius from the mean x-linewidth at this pressure.
-            gas = GasEnvironment(
-                pressure=pressure,
-                molar_mass=config.molar_mass,
-                temperature=config.room_temperature,
-            )
-            first_axis = axes_labels[0]
-            gammas = [pt.fits[first_axis].gamma for pt in sweep_p]
-            radius[pressure] = hydrodynamic_radius(
-                float(np.mean(gammas)),
-                pressure,
-                gas,
-                particle_density=config.particle.density,
-                room_temperature=config.room_temperature,
-            )
-
-            temps_p = [t for t in temperatures if t.pressure == pressure]
-            corrected = [
-                TemperaturePoint(
-                    laser_power=t.laser_power,
-                    pressure=t.pressure,
-                    temperature=t.temperature - heating_fit.strain_offset_K,
-                    sigma=t.sigma,
+        cells = [
+            (power_mw, [pt for pt in sweep_p if pt.laser_power == power_mw])
+            for power_mw in config.laser_powers_mw
+        ]
+        cells = [(power_mw, cell) for power_mw, cell in cells if cell]
+        corrected = [
+            replace(t, temperature=heating_fit.corrected_temperature(t))
+            for t in temperatures
+            if t.pressure == pressure
+            and any(math.isclose(t.laser_power, power_mw, rel_tol=1e-9)
+                    for power_mw, _ in cells)
+        ]
+        for axis in labels:
+            energy_series = []
+            for power_mw, cell in cells:
+                values = np.array([com_energy(pt, calib, axis) for pt in cell])
+                prop = np.array([
+                    calib.c_calib[axis] * pt.fits[axis].normalized_area_sigma
+                    for pt in cell
+                ])
+                sigma_pt = float(np.sqrt(np.mean(prop**2) / len(cell)))
+                energy_series.append(
+                    EnergyPoint(
+                        laser_power=power_mw,
+                        energy=float(np.mean(values)),
+                        sigma=sigma_pt if sigma_pt > 0 else None,
+                    )
                 )
-                for t in temps_p
-            ]
-            for axis in axes_labels:
-                energy_series = []
-                for power_mw in powers:
-                    cell = [pt for pt in sweep_p if pt.laser_power == power_mw]
-                    if not cell:
-                        continue
-                    values = np.array([com_energy(pt, calib, axis) for pt in cell])
-                    prop = np.array([
-                        calib.c_calib[axis] * pt.fits[axis].normalized_area_sigma
-                        for pt in cell
-                    ])
-                    sigma_pt = float(np.sqrt(np.mean(prop**2) / len(cell)))
-                    energy_series.append(
-                        EnergyPoint(
-                            laser_power=power_mw,
-                            energy=float(np.mean(values)),
-                            sigma=sigma_pt if sigma_pt > 0 else None,
-                        )
-                    )
-                corrected_axis = [
-                    t for t in corrected
-                    if any(
-                        math.isclose(t.laser_power, ept.laser_power, rel_tol=1e-9)
-                        for ept in energy_series
-                    )
-                ]
-                try:
-                    k_est = extract_k(energy_series, corrected_axis)
-                    per_pressure[axis].append(
-                        KMeasurement(pressure=pressure, K=k_est.K, sigma=k_est.K_sigma)
-                    )
-                except (HotBrownianError, np.linalg.LinAlgError) as exc:
-                    _record(errors, "extract_k", str(exc), pressure=pressure, axis=axis)
+            try:
+                k_est = extract_k(energy_series, corrected)
+                per_pressure[axis].append(
+                    KMeasurement(pressure=pressure, K=k_est.K, sigma=k_est.K_sigma)
+                )
+            except (HotBrownianError, np.linalg.LinAlgError) as exc:
+                _record(errors, "extract_k", str(exc), pressure=pressure, axis=axis)
 
-        k_per_axis: dict[str, tuple[float, float]] = {}
-        alpha_per_axis: dict[str, tuple[float, float]] = {}
-        classification: dict[str, str] = {}
-        flags: list[str] = []
-        all_k, all_sigma = [], []
-        for axis in axes_labels:
-            if not per_pressure[axis]:
-                flags.append(f"axis {axis}: no coupling estimate")
-                continue
-            k_values = np.array([m.K for m in per_pressure[axis]])
-            sigmas = np.array([m.sigma for m in per_pressure[axis]])
-            k_bar, sigma_bar = _pooled_mean(k_values, sigmas)
-            k_per_axis[axis] = (k_bar, sigma_bar)
-            scale = (math.pi + 8.0) / math.pi
-            alpha_per_axis[axis] = (k_bar * scale, sigma_bar * scale)
-            verdict = classify_overheating(per_pressure[axis], config.thresholds)
-            classification[axis] = verdict
-            flags.append(f"axis {axis}: {verdict}")
-            all_k.extend(k_values)
-            all_sigma.extend(sigmas)
+    k_per_axis: dict[str, tuple[float, float]] = {}
+    alpha_per_axis: dict[str, tuple[float, float]] = {}
+    classification: dict[str, str] = {}
+    flags: list[str] = []
+    for axis in labels:
+        if not per_pressure[axis]:
+            flags.append(f"axis {axis}: no coupling estimate")
+            continue
+        k_bar, sigma_bar = _pooled_mean(
+            np.array([m.K for m in per_pressure[axis]]),
+            np.array([m.sigma for m in per_pressure[axis]]),
+        )
+        k_per_axis[axis] = (k_bar, sigma_bar)
+        alpha_per_axis[axis] = (k_bar * _ALPHA_PER_COUPLING, sigma_bar * _ALPHA_PER_COUPLING)
+        verdict = classify_overheating(per_pressure[axis], config.thresholds)
+        classification[axis] = verdict
+        flags.append(f"axis {axis}: {verdict}")
+    if not k_per_axis:
+        return heating_fit, calibrations, radius, None
 
-        ratios = []
-        if len(axes_labels) >= 2:
-            a_x, a_y = axes_labels[0], axes_labels[1]
-            if "x" in axes_labels and "y" in axes_labels:
-                a_x, a_y = "x", "y"
-            ratios = [
-                pt.fits[a_x].gamma / pt.fits[a_y].gamma
-                for pt in points
-                if a_x in pt.fits and a_y in pt.fits and pt.fits[a_y].gamma > 0
-            ]
+    pooled = [m for axis in labels for m in per_pressure[axis]]
+    k_mean, k_mean_sigma = _pooled_mean(
+        np.array([m.K for m in pooled]), np.array([m.sigma for m in pooled])
+    )
+    # Axis labels are "x" and "y" only, so two labels are exactly those.
+    ratios = (
+        [pt.fits["x"].gamma / pt.fits["y"].gamma for pt in points]
+        if len(labels) == 2 else []
+    )
+    estimate = HbmEstimate(
+        k_per_axis=k_per_axis,
+        alpha_per_axis=alpha_per_axis,
+        per_pressure={a: tuple(v) for a, v in per_pressure.items()},
+        k_mean=k_mean,
+        k_mean_sigma=k_mean_sigma,
+        gamma_ratio_mean=float(np.mean(ratios)) if ratios else float("nan"),
+        gamma_ratio_spread=float(np.std(ratios, ddof=1)) if len(ratios) > 1 else 0.0,
+        classification=classification,
+        flags=tuple(flags),
+    )
+    return heating_fit, calibrations, radius, estimate
 
-        if k_per_axis:
-            k_mean, k_mean_sigma = _pooled_mean(np.array(all_k), np.array(all_sigma))
-            estimate = HbmEstimate(
-                k_per_axis=k_per_axis,
-                alpha_per_axis=alpha_per_axis,
-                per_pressure={a: tuple(v) for a, v in per_pressure.items()},
-                k_mean=k_mean,
-                k_mean_sigma=k_mean_sigma,
-                gamma_ratio_mean=float(np.mean(ratios)) if ratios else float("nan"),
-                gamma_ratio_spread=(
-                    float(np.std(ratios, ddof=1)) if len(ratios) > 1 else 0.0
-                ),
-                classification=classification,
-                flags=tuple(flags),
-            )
 
+def run_campaign(config: CampaignConfig) -> CampaignReport:
+    """Run the full simulate-measure-estimate loop over a campaign grid.
+
+    Every (pressure, power, repetition) cell simulates a trace, fits its
+    per-axis PSDs, and every (pressure, power) cell acquires one ESR
+    spectrum.  Cell failures are recorded in the report and the campaign
+    continues; an empty grid yields an empty report.
+    """
+    t_start = time.perf_counter()
+    law = config.zfs_law if config.zfs_law is not None else default_zfs_law()
+    gases = {
+        pressure: GasEnvironment(
+            pressure=pressure,
+            molar_mass=config.molar_mass,
+            temperature=config.room_temperature,
+        )
+        for pressure in config.pressures_hpa
+    }
+    points, temperatures, errors = _measure(config, law, gases)
+    heating_fit, calibrations, radius, estimate = _estimate(
+        config, gases, points, temperatures, errors
+    )
     return CampaignReport(
-        pressures_hpa=pressures,
-        laser_powers_mw=powers,
+        pressures_hpa=tuple(config.pressures_hpa),
+        laser_powers_mw=tuple(config.laser_powers_mw),
         points=points,
         temperatures=temperatures,
         calibrations=calibrations,

@@ -245,19 +245,50 @@ def _axis_truth(config: SimulationConfig, axis: TrapAxis) -> dict:
     }
 
 
-def simulate_trace(config: SimulationConfig) -> TimeTrace:
-    """Simulate detector voltages for every configured axis.
+def _sample_baoab(
+    omega0: float,
+    gamma: float,
+    t_eff: float,
+    mass: float,
+    dt: float,
+    n: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Position samples of the BAOAB splitting integrator, O(dt^2) accurate.
 
-    Supports spheres only — the anisotropic cylinder couples rotation
-    and translation and needs its own treatment.
+    Same arguments and the same order of random draws as
+    :func:`_sample_positions`: two for the stationary start, then one
+    velocity kick per step.
+    """
+    k_b = CONSTANTS.k_B
+    omega_sq = omega0**2
+    c1 = math.exp(-gamma * dt)
+    c2 = math.sqrt(k_b * t_eff / mass * (1.0 - c1 * c1))
 
-    Returns
-    -------
-    TimeTrace
-        Signals per axis with ground-truth parameters in ``metadata``.
+    q = math.sqrt(k_b * t_eff / (mass * omega_sq)) * rng.standard_normal()
+    v = math.sqrt(k_b * t_eff / mass) * rng.standard_normal()
+    kicks = rng.standard_normal(n - 1)
+    out = np.empty(n)
+    out[0] = q
+    half_dt = 0.5 * dt
+    for k in range(1, n):
+        v -= half_dt * omega_sq * q
+        q += half_dt * v
+        v = c1 * v + c2 * kicks[k - 1]
+        q += half_dt * v
+        v -= half_dt * omega_sq * q
+        out[k] = q
+    return out
+
+
+def _simulate_axes(config: SimulationConfig, sample) -> TimeTrace:
+    """Detector voltages of every axis, with positions drawn by ``sample``.
+
+    Each axis gets its own child seed; its generator feeds the position
+    sampler first and the detector noise after.
     """
     if not isinstance(config.particle.shape, Sphere):
-        raise ConfigError("simulate_trace supports spherical particles only")
+        raise ConfigError("trace simulation supports spherical particles only")
 
     n = config.n_samples
     seed_seq = np.random.SeedSequence(config.rng_seed)
@@ -268,7 +299,7 @@ def simulate_trace(config: SimulationConfig) -> TimeTrace:
     for axis, child in zip(config.axes, children):
         rng = np.random.default_rng(child)
         params = _axis_truth(config, axis)
-        q = _sample_positions(
+        q = sample(
             params["omega0"],
             params["gamma_rad_s"],
             params["t_eff"],
@@ -300,6 +331,20 @@ def simulate_trace(config: SimulationConfig) -> TimeTrace:
     )
 
 
+def simulate_trace(config: SimulationConfig) -> TimeTrace:
+    """Simulate detector voltages for every configured axis.
+
+    Supports spheres only — the anisotropic cylinder couples rotation
+    and translation and needs its own treatment.
+
+    Returns
+    -------
+    TimeTrace
+        Signals per axis with ground-truth parameters in ``metadata``.
+    """
+    return _simulate_axes(config, _sample_positions)
+
+
 def simulate_trace_splitting(config: SimulationConfig) -> TimeTrace:
     """BAOAB splitting integrator — independent cross-check of
     :func:`simulate_trace`.
@@ -307,59 +352,9 @@ def simulate_trace_splitting(config: SimulationConfig) -> TimeTrace:
     Second-order accurate in dt rather than exact; agreement of its
     spectra with the exact sampler validates both discretizations.
     """
-    if not isinstance(config.particle.shape, Sphere):
-        raise ConfigError("simulate_trace_splitting supports spherical particles only")
-
-    n = config.n_samples
-    dt = config.dt
-    k_b = CONSTANTS.k_B
-    mass = config.particle.mass
-    seed_seq = np.random.SeedSequence(config.rng_seed)
-    children = seed_seq.spawn(len(config.axes))
-
-    signals: dict[str, np.ndarray] = {}
-    truth: dict[str, dict] = {}
-    for axis, child in zip(config.axes, children):
-        rng = np.random.default_rng(child)
-        params = _axis_truth(config, axis)
-        omega_sq = params["omega0"] ** 2
-        c1 = math.exp(-params["gamma_rad_s"] * dt)
-        c2 = math.sqrt(k_b * params["t_eff"] / mass * (1.0 - c1 * c1))
-
-        q = math.sqrt(k_b * params["t_eff"] / (mass * omega_sq)) * rng.standard_normal()
-        v = math.sqrt(k_b * params["t_eff"] / mass) * rng.standard_normal()
-        kicks = rng.standard_normal(n - 1)
-        out = np.empty(n)
-        out[0] = q
-        half_dt = 0.5 * dt
-        for k in range(1, n):
-            v -= half_dt * omega_sq * q
-            q += half_dt * v
-            v = c1 * v + c2 * kicks[k - 1]
-            q += half_dt * v
-            v -= half_dt * omega_sq * q
-            out[k] = q
-
-        gain = axis.detection_gain * config.laser_power
-        volts = gain * out
-        if config.measurement_noise_psd > 0:
-            sigma_meas = math.sqrt(config.measurement_noise_psd / (2.0 * dt))
-            volts = volts + sigma_meas * rng.standard_normal(n)
-        signals[axis.label] = volts
-        params["detection_gain_v_per_m"] = gain
-        truth[axis.label] = params
-
-    return TimeTrace(
-        dt=dt,
-        signals=signals,
-        metadata={
-            "laser_power_mw": w_to_mw(config.laser_power),
-            "pressure_hpa": config.gas.pressure,
-            "seed": config.rng_seed,
-            "true_parameters": truth,
-            "integrator": "baoab",
-        },
-    )
+    trace = _simulate_axes(config, _sample_baoab)
+    trace.metadata["integrator"] = "baoab"
+    return trace
 
 
 # =============================================================================

@@ -55,9 +55,9 @@ def welch_psd(
     ----------
     trace:
         Object with ``dt`` [s] and a ``signals`` mapping of per-axis
-        sample arrays (a simulated time trace), or a bare sample array —
-        then the sampling step must be supplied via the ``dt`` attribute
-        workaround of wrapping it yourself is avoided by passing a trace.
+        sample arrays, such as a :class:`~hotbrownian.simulate.TimeTrace`.
+        A bare sample array raises :class:`TypeError`; wrap it in a
+        ``TimeTrace`` first.
     axis:
         Which axis to take from ``trace.signals``.
     segment_length:

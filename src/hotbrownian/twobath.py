@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._leastsq import line_fit
 from .core import Cylinder, GasEnvironment, ParticleModel, Sphere
 from .errors import AccommodationWarning, DomainError, EstimationError
 
@@ -56,6 +57,9 @@ __all__ = [
 
 #: Analytic sphere coupling constant per unit accommodation: K = pi/(pi+8)*alpha_c.
 SPHERE_COUPLING_PER_ALPHA = math.pi / (math.pi + 8.0)
+
+# Its inverse, alpha_c per unit K, shared by every K -> alpha_c conversion.
+_ALPHA_PER_COUPLING = (math.pi + 8.0) / math.pi
 
 # Emerging/impinging friction ratio of a sphere at equal temperatures.
 _SPHERE_BATH_RATIO = math.pi / 8.0
@@ -171,7 +175,7 @@ def alpha_from_k(K: float) -> float:
     """Accommodation coefficient implied by a measured sphere coupling K."""
     if K < 0:
         raise DomainError(f"K must be >= 0, got {K}")
-    return K * (math.pi + 8.0) / math.pi
+    return K * _ALPHA_PER_COUPLING
 
 
 # =============================================================================
@@ -393,13 +397,6 @@ def cylinder_drag(
 # Coupling constants from the slope procedure
 # =============================================================================
 
-def _slope_fit(delta_t: np.ndarray, t_com: np.ndarray) -> float:
-    """Least-squares slope of t_com against delta_t."""
-    design = np.column_stack([delta_t, np.ones_like(delta_t)])
-    coeffs, *_ = np.linalg.lstsq(design, t_com, rcond=None)
-    return float(coeffs[0])
-
-
 def _validate_sweep(delta_t_grid: np.ndarray | None) -> np.ndarray:
     grid = _DEFAULT_SWEEP_K if delta_t_grid is None else np.asarray(delta_t_grid, float)
     if grid.size < 2 or np.ptp(grid) == 0.0:
@@ -441,7 +438,7 @@ def cylinder_k(
         else:
             g_imp, g_em = drag.impinging_perpendicular, drag.emerging_perpendicular
         t_com[i] = (g_imp * t0 + g_em * t_s) / (g_imp + g_em)
-    return _slope_fit(grid, t_com)
+    return line_fit(grid, t_com)[0]
 
 
 def sphere_k(
@@ -457,4 +454,4 @@ def sphere_k(
     """
     grid = _validate_sweep(delta_t_grid)
     t_com = np.array([two_bath_tcom(t0, d_t, alpha_c) for d_t in grid])
-    return _slope_fit(grid, t_com)
+    return line_fit(grid, t_com)[0]

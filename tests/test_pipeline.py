@@ -274,16 +274,16 @@ class TestPooledMean:
 class TestHydrodynamicRadius:
     def test_reference_value(self, gas45):
         assert hydrodynamic_radius(3131.19, 45.0, gas45) == pytest.approx(
-            5.00013688542607e-07, rel=1e-12
+            4.999954082714633e-07, rel=1e-12
         )
 
     def test_inverts_the_sphere_drag(self, sphere_particle, gas45):
         # Feeding back the model's own ambient-temperature linewidth must
-        # return the true radius (to the precision of the 0.619 factor).
+        # return the true radius.
         gamma_hz = sphere_drag(sphere_particle, gas45,
                                emerging_temperature=294.0) / (2 * math.pi)
         radius = hydrodynamic_radius(gamma_hz, 45.0, gas45)
-        assert radius == pytest.approx(500e-9, rel=1e-4)
+        assert radius == pytest.approx(500e-9, rel=1e-12)
 
     def test_scales_linearly_with_pressure(self, gas45):
         r1 = hydrodynamic_radius(3131.19, 45.0, gas45)

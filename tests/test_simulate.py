@@ -208,6 +208,16 @@ class TestTraceStatistics:
         assert baoab.metadata["integrator"] == "baoab"
         assert np.var(baoab.signals["x"]) == pytest.approx(var_expected, rel=0.05)
 
+    def test_splitting_integrator_shares_the_trace_metadata(
+        self, axes_pair, sphere_particle, heating17, gas45
+    ):
+        cfg = base_config(axes_pair, sphere_particle, heating17, gas45,
+                          measurement_noise_psd=1e-18)
+        exact = simulate_trace(cfg).metadata
+        baoab = simulate_trace_splitting(cfg).metadata
+        for key in ("true_parameters", "seed", "laser_power_mw", "pressure_hpa"):
+            assert baoab[key] == exact[key]
+
     def test_measurement_noise_adds_the_configured_floor(
         self, axes_pair, sphere_particle, heating17, gas45
     ):
