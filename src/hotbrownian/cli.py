@@ -2,157 +2,210 @@
 
 Subcommands cover the pipeline end to end: simulate traces, estimate
 and fit spectra, calibrate sweeps, extract coupling constants, run whole
-campaigns, and tabulate cylinder couplings.  Inputs come from a JSON
-config file (--config); results land in --out (default: current
-directory) or on stdout as JSON.
+campaigns, and tabulate cylinder couplings.  Each reads an optional JSON
+config (--config) keyed by the parameters of the library call it makes
+(README, "Quickstart (CLI)").  A key left out takes the library default
+or, where there is none, the bundled example in ``_EXAMPLE``.  Unknown
+keys, wrong-typed values and flags a command does not read are refused.
 
-Exit codes: 0 success, 2 fit/calibration failure, 3 invalid configuration.
+Exit codes: 0 success, 2 fit/calibration failure, 3 invalid configuration,
+usage or unreadable file.  Any other exception is a bug: a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import dataclasses
+import inspect
 import json
 import math
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .core import Cylinder, GasEnvironment, ParticleModel, Sphere, TrapAxis, mw_to_w
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    DomainError,
-    EstimationError,
-)
-from .io import (
-    load_zfs_law,
-    read_esr,
-    read_psd,
-    read_trace,
-    write_cylinder_k_csv,
-    write_psd,
-    write_report,
-    write_trace,
-)
-from .pipeline import (
-    CampaignConfig,
-    ClassificationThresholds,
-    EnergyPoint,
-    EsrSettings,
-    PowerSweepPoint,
-    calibrate,
-    extract_k,
-    run_campaign,
-)
-from .simulate import AnomalyInjection, SimulationConfig, simulate_trace
+from .core import Cylinder, GasEnvironment, ParticleModel, Sphere, mw_to_w
+from .errors import CalibrationError, ConfigError, DomainError, EstimationError
+from .io import (load_zfs_law, read_esr, read_psd, read_trace, write_cylinder_k_csv,
+                 write_psd, write_report, write_trace)
+from .pipeline import (CampaignConfig, EnergyPoint, PowerSweepPoint, calibrate,
+                       extract_k, run_campaign)
+from .simulate import SimulationConfig, simulate_trace
 from .spectral import PsdFit, fit_psd, welch_psd
-from .thermometry import (
-    TemperaturePoint,
-    default_zfs_law,
-    fit_esr,
-    temperature_from_esr,
-)
-from .twobath import HeatingLaw, cylinder_drag, cylinder_k, sphere_k
+from .thermometry import (TemperaturePoint, ZfsLaw, default_zfs_law, fit_esr,
+                          temperature_from_esr)
+from .twobath import cylinder_drag, cylinder_k, sphere_k
 
 __all__ = ["main"]
 
-# Bundled example particle/trap so every subcommand runs out of the box.
-_DEFAULT_AXES = (
-    {"label": "x", "stiffness_coefficient": 2 * math.pi * 1.807e5, "detection_gain": 1.0e9},
-    {"label": "y", "stiffness_coefficient": 2 * math.pi * 1.549e5, "detection_gain": 0.8e9},
-)
+# The bundled example particle, trap and grids: the value of each config
+# key whose library parameter has no default, so that every command runs
+# on an empty config.  Nested objects are completed key by key.
+_EXAMPLE = {
+    "axes": [
+        {"label": "x", "stiffness_coefficient": 2 * math.pi * 1.807e5, "detection_gain": 1.0e9},
+        {"label": "y", "stiffness_coefficient": 2 * math.pi * 1.549e5, "detection_gain": 0.8e9},
+    ],
+    "particle": {"radius_m": 500e-9}, "heating": {"kappa_heat": 17.0},
+    "seed": 0, "dt_s": 5e-7, "duration_s": 1.0, "laser_power_mw": 100.0, "pressure_hpa": 45.0,
+    "pressures_hpa": [45.0, 60.0, 80.0, 100.0], "laser_powers_mw": list(range(15, 151, 15)),
+    "repetitions": 3,
+    "radius_m": 40e-9,                   # the cylinder of cylinder-k
+}
+
+_NO_DEFAULT = inspect.Parameter.empty
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    return json.loads(Path(args.config).read_text())
+class _Key(typing.NamedTuple):
+    """A config key: the library parameter it sets, its type and default."""
+
+    param: str
+    kind: object
+    default: object = None
 
 
-def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _keys(target, **rename) -> dict[str, _Key]:
+    """Config keys for the parameters of a function or dataclass.
+
+    A key is named after its parameter unless ``rename`` maps the
+    parameter to another key, or to None to leave it out.  An
+    unannotated parameter is read as a string.
+    """
+    hints = typing.get_type_hints(target)
+    return {
+        rename.get(name, name): _Key(name, hints.get(name, str), p.default)
+        for name, p in inspect.signature(target).parameters.items()
+        if rename.get(name, name) is not None
+    }
+
+
+def _kwargs(cfg: dict, keys: dict[str, _Key]) -> dict:
+    """Keyword arguments for the keys of ``keys`` present in ``cfg``."""
+    return {spec.param: cfg[key] for key, spec in keys.items() if key in cfg}
+
+
+def _read(where: str, raw, keys: dict[str, _Key]) -> dict:
+    """Config object ``raw`` with every value converted to its key's type."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"valid keys: {', '.join(sorted(keys))}"
+        )
+    return {key: _convert(key, value, keys[key].kind) for key, value in raw.items()}
+
+
+def _convert(key: str, value, kind):
+    """``value`` of config key ``key`` checked against, and built as, ``kind``."""
+    kind = _READERS.get(kind, kind)
+    if inspect.isfunction(kind):
+        return kind(key, value)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):        # X | None
+        return _convert(key, value, args[0]) if value else None
+    if origin in (tuple, collections.abc.Sequence):
+        items = _convert(key, value, list)
+        kinds = args if len(args) > 1 and args[1] is not Ellipsis else args[:1] * len(items)
+        if len(kinds) != len(items):
+            raise ConfigError(f"{key!r} must hold {len(kinds)} values, got {value!r}")
+        return tuple(_convert(key, item, k) for item, k in zip(items, kinds))
+    if dataclasses.is_dataclass(kind):
+        keys = _keys(kind)
+        cfg = _read(repr(key), value, keys)
+        missing = [k for k, spec in keys.items() if spec.default is _NO_DEFAULT and k not in cfg]
+        if missing:
+            raise ConfigError(f"{key!r} needs {', '.join(map(repr, missing))}")
+        return kind(**cfg)
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _particle(key: str, value) -> ParticleModel:
+    """A sphere of ``radius_m``, or a cylinder when ``length_m`` is given."""
+    shape = _keys(Cylinder, radius="radius_m", length="length_m")
+    material = _keys(ParticleModel, shape=None)
+    cfg = _read(repr(key), value, {**shape, **material})
+    dims = _kwargs(cfg, shape)
+    return ParticleModel(
+        shape=Cylinder(**dims) if "length" in dims else Sphere(**dims),
+        **_kwargs(cfg, material),
+    )
+
+
+def _series(key: str, value) -> list[tuple]:
+    """Rows ``[power, value]`` or ``[power, value, sigma]`` of an inline series."""
+    rows = []
+    for row in _convert(key, value, list):
+        row = _convert(key, row, list)
+        if len(row) not in (2, 3):
+            raise ConfigError(f"{key!r} rows are [power, value] or [power, value, sigma]")
+        power, val, sigma = row + [None] * (3 - len(row))
+        rows.append((_convert(key, power, float), _convert(key, val, float),
+                     None if sigma is None else _convert(key, sigma, float)))
+    return rows
+
+
+# The gas around the particle, for the commands that build one.
+_GAS = _keys(GasEnvironment, pressure="pressure_hpa", temperature="room_temperature")
+
+# Types read from something other than a JSON object of their fields.
+_READERS = {
+    ParticleModel: _particle,
+    ZfsLaw: lambda key, value: load_zfs_law(_convert(key, value, str)),
+}
+
+
+def _config(args, keys: dict[str, _Key], input_key: str | None = None) -> dict:
+    """The --config object of a command that reads ``keys``, converted.
+
+    The flags --seed and --axis and the input file argument override the
+    config keys ``seed``, ``axis`` and ``input_key``.  Keys without a
+    library default take their ``_EXAMPLE`` value.
+    """
+    raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    if input_key:
+        keys = {**keys, input_key: _Key(input_key, str)}
+    if isinstance(raw, dict):
+        flags = {"seed": "seed", "axis": "axis", "input": input_key}
+        raw.update({flags[k]: v for k, v in vars(args).items() if k in flags and v is not None})
+        for key, example in _EXAMPLE.items():
+            if key in keys and keys[key].default is _NO_DEFAULT:
+                given = raw.setdefault(key, example)
+                if isinstance(example, dict) and isinstance(given, dict):
+                    raw[key] = {**example, **given}
+        if isinstance(raw.get("heating"), dict) and "room_temperature" in raw:
+            # The heating law starts from the room unless it sets its own T0.
+            raw["heating"] = {"T0": raw["room_temperature"], **raw["heating"]}
+    cfg = _read(f"{args.command} --config", raw, keys)
+    if input_key and input_key not in cfg:
+        raise ConfigError(f"missing input: pass a file argument or {input_key!r} in --config")
+    return cfg
 
 
 def _out_file(args, default_name: str) -> Path:
-    """Resolve --out into a file path.
-
-    A value with a file suffix is taken as the file itself; anything else
-    is a directory that receives `default_name`.
-    """
-    raw = getattr(args, "out", None)
-    if raw is None:
-        return Path(default_name)
-    out = Path(raw)
-    if out.suffix:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        return out
-    out.mkdir(parents=True, exist_ok=True)
-    return out / default_name
-
-
-def _input_path(args, cfg: dict, key: str):
-    value = getattr(args, "input", None) or cfg.get(key)
-    if value is None:
-        raise ConfigError(f"missing input: pass a file argument or {key!r} in --config")
-    return value
+    """--out as a file (it has a suffix) or a directory given ``default_name``."""
+    out = Path(args.out or ".")
+    path = out if out.suffix else out / default_name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, default=str))
 
 
-def _build_axes(cfg: dict) -> tuple:
-    axes_cfg = cfg.get("axes", list(_DEFAULT_AXES))
-    return tuple(
-        TrapAxis(
-            label=a["label"],
-            stiffness_coefficient=float(a["stiffness_coefficient"]),
-            detection_gain=float(a["detection_gain"]),
-        )
-        for a in axes_cfg
-    )
-
-
-def _build_particle(cfg: dict) -> ParticleModel:
-    pcfg = cfg.get("particle", {})
-    radius = float(pcfg.get("radius_m", 500e-9))
-    if "length_m" in pcfg:
-        shape = Cylinder(radius=radius, length=float(pcfg["length_m"]))
-    else:
-        shape = Sphere(radius=radius)
-    return ParticleModel(shape=shape, density=float(pcfg.get("density", 3500.0)))
-
-
-def _build_heating(cfg: dict) -> HeatingLaw:
-    hcfg = cfg.get("heating", {})
-    return HeatingLaw(
-        kappa_heat=float(hcfg.get("kappa_heat", 17.0)),
-        T0=float(hcfg.get("T0", cfg.get("room_temperature", 294.0))),
-    )
-
-
-def _build_gas(cfg: dict, pressure: float) -> GasEnvironment:
-    return GasEnvironment(
-        pressure=pressure,
-        molar_mass=float(cfg.get("molar_mass", 0.02897)),
-        temperature=float(cfg.get("room_temperature", 294.0)),
-    )
-
-
-def _build_anomaly(acfg) -> AnomalyInjection | None:
-    if not acfg:
-        return None
-    return AnomalyInjection(
-        axis=acfg["axis"],
-        extra_force_psd_per_mw=float(acfg["extra_force_psd_per_mw"]),
-        pressure_exponent=float(acfg.get("pressure_exponent", 0.0)),
-        reference_pressure_hpa=float(acfg.get("reference_pressure_hpa", 100.0)),
-    )
+def _print_fit(payload: dict, converged: bool) -> int:
+    _print_json(payload)
+    if converged:
+        return 0
+    print("fit did not converge", file=sys.stderr)
+    return 2
 
 
 # =============================================================================
@@ -160,22 +213,12 @@ def _build_anomaly(acfg) -> AnomalyInjection | None:
 # =============================================================================
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    sim = SimulationConfig(
-        dt=float(cfg.get("dt_s", 5e-7)),
-        duration=float(cfg.get("duration_s", 1.0)),
-        rng_seed=seed,
-        axes=_build_axes(cfg),
-        laser_power=mw_to_w(float(cfg.get("laser_power_mw", 100.0))),
-        gas=_build_gas(cfg, float(cfg.get("pressure_hpa", 45.0))),
-        particle=_build_particle(cfg),
-        heating=_build_heating(cfg),
-        alpha_c=float(cfg.get("alpha_c", 1.0)),
-        anomaly_injection=_build_anomaly(cfg.get("anomaly")),
-        measurement_noise_psd=float(cfg.get("measurement_noise_psd", 0.0)),
-    )
-    trace = simulate_trace(sim)
+    sim = _keys(SimulationConfig, dt="dt_s", duration="duration_s", rng_seed="seed",
+                laser_power="laser_power_mw", anomaly_injection="anomaly", gas=None)
+    cfg = _config(args, {**sim, **_GAS})
+    kwargs = _kwargs(cfg, sim)
+    kwargs["laser_power"] = mw_to_w(kwargs["laser_power"])
+    trace = simulate_trace(SimulationConfig(gas=GasEnvironment(**_kwargs(cfg, _GAS)), **kwargs))
     path = _out_file(args, "trace.csv")
     write_trace(trace, path)
     print(path)
@@ -183,16 +226,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_psd(args) -> int:
-    cfg = _load_config(args)
-    trace = read_trace(_input_path(args, cfg, "trace"))
-    axis = args.axis or cfg.get("axis", "x")
-    psd = welch_psd(
-        trace,
-        axis=axis,
-        segment_length=int(cfg.get("segment_length", 16384)),
-        overlap_fraction=float(cfg.get("overlap_fraction", 0.5)),
-        window=cfg.get("window", "hann"),
-    )
+    keys = _keys(welch_psd)
+    cfg = _config(args, keys, input_key="trace")
+    cfg["trace"] = read_trace(cfg["trace"])
+    axis = cfg.setdefault("axis", keys["axis"].default)
+    if axis not in cfg["trace"].signals:
+        raise ConfigError(
+            f"unknown axis {axis!r}; the trace holds {', '.join(sorted(cfg['trace'].signals))}"
+        )
+    psd = welch_psd(**_kwargs(cfg, keys))
     path = _out_file(args, f"psd_{axis}.csv")
     write_psd(psd, path)
     print(path)
@@ -200,45 +242,29 @@ def cmd_psd(args) -> int:
 
 
 def cmd_fit_psd(args) -> int:
-    cfg = _load_config(args)
-    psd = read_psd(_input_path(args, cfg, "psd"))
-    band = cfg.get("fit_band")
-    fit = fit_psd(
-        psd,
-        fit_band=tuple(band) if band else None,
-        noise_floor=cfg.get("noise_floor", "none"),
-        weighting=cfg.get("weighting", "proportional"),
-        log_space=bool(cfg.get("log_space", False)),
-        alias_fold=bool(cfg.get("alias_fold", True)),
-    )
-    _print_json(dataclasses.asdict(fit))
-    if not fit.converged:
-        print("fit did not converge", file=sys.stderr)
-        return 2
-    return 0
+    keys = _keys(fit_psd)
+    cfg = _config(args, keys, input_key="psd")
+    cfg["psd"] = read_psd(cfg["psd"])
+    fit = fit_psd(**_kwargs(cfg, keys))
+    return _print_fit(dataclasses.asdict(fit), fit.converged)
 
 
 def cmd_fit_esr(args) -> int:
-    cfg = _load_config(args)
-    spectrum = read_esr(_input_path(args, cfg, "esr"))
-    fit = fit_esr(spectrum)
-    law = load_zfs_law(cfg["zfs_law"]) if cfg.get("zfs_law") else default_zfs_law()
+    cfg = _config(args, _keys(temperature_from_esr, fit=None, law="zfs_law"), input_key="esr")
+    fit = fit_esr(read_esr(cfg["esr"]))
     payload = dataclasses.asdict(fit)
     if fit.converged:
-        estimate = temperature_from_esr(fit, law)
+        estimate = temperature_from_esr(fit, cfg.get("zfs_law") or default_zfs_law())
         payload["temperature_k"] = estimate.kelvin
         payload["temperature_sigma_k"] = estimate.sigma
-    _print_json(payload)
-    if not fit.converged:
-        print("fit did not converge", file=sys.stderr)
-        return 2
-    return 0
+    return _print_fit(payload, fit.converged)
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
-    rows = np.loadtxt(_input_path(args, cfg, "points_csv"), delimiter=",",
-                      skiprows=1, ndmin=2, dtype=str)
+    keys = _keys(calibrate, sweep=None)
+    cfg = _config(args, {**keys, "pressure_hpa": _Key("pressure_hpa", float)},
+                  input_key="points_csv")
+    rows = np.loadtxt(cfg["points_csv"], delimiter=",", skiprows=1, ndmin=2, dtype=str)
     pressure_filter = cfg.get("pressure_hpa")
     grouped: dict[tuple, dict] = {}
     for row in rows:
@@ -246,106 +272,68 @@ def cmd_calibrate(args) -> int:
         if pressure_filter is not None and not math.isclose(pressure, pressure_filter):
             continue
         area, sigma, f_q, gamma = (float(v) for v in row[4:8])
-        fit = PsdFit(
-            A=area * f_q**2, f_q=f_q, gamma=gamma, floor=0.0,
+        grouped.setdefault((pressure, power, rep), {})[axis] = PsdFit(
+            A=area * f_q**2, f_q=f_q, gamma=gamma, floor=0.0, converged=True,
             uncertainties={"A": sigma * f_q**2, "f_q": 0.0, "gamma": 0.0},
-            converged=True,
         )
-        grouped.setdefault((pressure, power, rep), {})[axis] = fit
     sweep = [
         PowerSweepPoint(laser_power=power, repetition_index=rep,
                         pressure_hpa=pressure, fits=fits)
         for (pressure, power, rep), fits in sorted(grouped.items())
     ]
-    result = calibrate(sweep, float(cfg.get("room_temperature", 294.0)))
+    result = calibrate(sweep, **_kwargs(cfg, keys))
     _print_json(dataclasses.asdict(result))
     return 0
 
 
 def cmd_extract_k(args) -> int:
-    cfg = _load_config(args)
-    pressure = float(cfg.get("pressure_hpa", 1.0))
-    energy = [
-        EnergyPoint(laser_power=float(p), energy=float(e),
-                    sigma=float(s) if s is not None else None)
-        for p, e, *rest in cfg["energy"]
-        for s in [rest[0] if rest else None]
-    ]
-    temperature = [
-        TemperaturePoint(laser_power=float(p), pressure=pressure,
-                         temperature=float(t),
-                         sigma=float(s) if s is not None else None)
-        for p, t, *rest in cfg["temperature"]
-        for s in [rest[0] if rest else None]
-    ]
-    result = extract_k(energy, temperature)
+    keys = {key: _Key(key, _series) for key in ("energy", "temperature")}
+    cfg = _config(args, keys)
+    if keys.keys() - cfg.keys():
+        raise ConfigError(f"extract-k needs {' and '.join(map(repr, keys))} in --config")
+    # extract_k pairs the series by power only, so no pressure is recorded.
+    result = extract_k(
+        [EnergyPoint(p, e, s) for p, e, s in cfg["energy"]],
+        [TemperaturePoint(p, math.nan, t, s) for p, t, s in cfg["temperature"]],
+    )
     _print_json(dataclasses.asdict(result))
     return 0
 
 
 def cmd_campaign(args) -> int:
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    band = cfg.get("fit_band")
-    config = CampaignConfig(
-        pressures_hpa=tuple(cfg.get("pressures_hpa", (45.0, 60.0, 80.0, 100.0))),
-        laser_powers_mw=tuple(cfg.get("laser_powers_mw", tuple(range(15, 151, 15)))),
-        repetitions=int(cfg.get("repetitions", 3)),
-        duration_s=float(cfg.get("duration_s", 1.0)),
-        dt_s=float(cfg.get("dt_s", 5e-7)),
-        axes=_build_axes(cfg),
-        particle=_build_particle(cfg),
-        heating=_build_heating(cfg),
-        alpha_c=float(cfg.get("alpha_c", 1.0)),
-        anomaly=_build_anomaly(cfg.get("anomaly")),
-        zfs_law=load_zfs_law(cfg["zfs_law"]) if cfg.get("zfs_law") else None,
-        molar_mass=float(cfg.get("molar_mass", 0.02897)),
-        room_temperature=float(cfg.get("room_temperature", 294.0)),
-        rng_seed=seed,
-        esr=EsrSettings(**cfg.get("esr", {})),
-        segment_length=int(cfg.get("segment_length", 16384)),
-        fit_band=tuple(band) if band else None,
-        noise_floor=cfg.get("noise_floor", "none"),
-        measurement_noise_psd=float(cfg.get("measurement_noise_psd", 0.0)),
-        thresholds=ClassificationThresholds(**cfg.get("thresholds", {})),
-        thermometry_only=bool(cfg.get("thermometry_only", False)),
-    )
-    report = run_campaign(config)
-    out = _out_dir(args)
-    path = write_report(report, out, format=args.format or "csv")
-    summary = {
+    keys = _keys(CampaignConfig, rng_seed="seed")
+    cfg = _config(args, keys)
+    report = run_campaign(CampaignConfig(**_kwargs(cfg, keys)))
+    path = write_report(report, args.out or ".",
+                        **({"format": args.format} if args.format else {}))
+    _print_json({
         "report": str(path),
         "n_points": len(report.points),
         "n_temperatures": len(report.temperatures),
         "n_errors": len(report.errors),
         "kappa_heat": report.heating_fit.kappa_heat if report.heating_fit else None,
-        "classification": (
-            report.estimate.classification if report.estimate else None
-        ),
-    }
-    _print_json(summary)
+        "classification": report.estimate.classification if report.estimate else None,
+    })
     return 0
 
 
 def cmd_cylinder_k(args) -> int:
-    cfg = _load_config(args)
-    gas = _build_gas(cfg, float(cfg.get("pressure_hpa", 45.0)))
-    radius = float(cfg.get("radius_m", 40e-9))
-    density = float(cfg.get("density", 3500.0))
-    grid = cfg.get("delta_t_grid")
-    grid = np.asarray(grid, float) if grid is not None else None
-
+    table = _keys(write_cylinder_k_csv, path=None, gas=None, radius="radius_m")
+    cfg = _config(args, {**_GAS, **table, "length_m": _Key("length", float)})
+    gas = GasEnvironment(**_kwargs(cfg, _GAS))
     if "aspect_ratios" in cfg:
-        out = _out_dir(args) / "cylinder_coupling_vs_anisotropy.csv"
-        write_cylinder_k_csv(
-            out, radius, cfg["aspect_ratios"], gas,
-            density=density, delta_t_grid=grid,
-        )
-        print(out)
+        if "length_m" in cfg:
+            raise ConfigError("give 'length_m' or 'aspect_ratios', not both")
+        out = _out_file(args, "cylinder_coupling_vs_anisotropy.csv")
+        print(write_cylinder_k_csv(out, gas=gas, **_kwargs(cfg, table)))
         return 0
+    if args.out:
+        raise ConfigError("--out writes the 'aspect_ratios' table; this config has none")
 
-    length = float(cfg.get("length_m", 2.0 * radius))
-    particle = ParticleModel(shape=Cylinder(radius=radius, length=length), density=density)
+    radius, grid = cfg["radius_m"], cfg.get("delta_t_grid")
+    length = cfg.get("length_m", 2.0 * radius)
+    particle = ParticleModel(shape=Cylinder(radius=radius, length=length),
+                             **_kwargs(cfg, {"density": table["density"]}))
     drag = cylinder_drag(particle, gas)
     _print_json({
         "length_over_diameter": length / (2.0 * radius),
@@ -361,49 +349,60 @@ def cmd_cylinder_k(args) -> int:
 # Parser and entry point
 # =============================================================================
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`ConfigError` (exit 3)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+_FLAGS = {
+    "--seed": {"type": int, "help": "RNG seed; overrides the config's 'seed'"},
+    "--out": {"help": "output file or directory"},
+    "--format": {"choices": ("csv", "json"), "help": "report format (json: no CSV tables)"},
+    "--axis": {"help": "axis label; overrides the config's 'axis'"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hotbrownian",
         description="Hot Brownian motion simulator and estimation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, helptext, takes_input=None):
+    def add(name, func, helptext, *flags, takes_input=None):
         p = sub.add_parser(name, help=helptext)
         if takes_input:
             p.add_argument("input", nargs="?", default=None, help=takes_input)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="report output format")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
-        return p
 
-    add("simulate", cmd_simulate, "simulate a detector time trace")
-    p_psd = add("psd", cmd_psd, "Welch PSD of a stored trace", "trace CSV file")
-    p_psd.add_argument("--axis", default=None, help="axis label (default x)")
-    add("fit-psd", cmd_fit_psd, "Lorentzian fit of a stored PSD", "PSD CSV file")
-    add("fit-esr", cmd_fit_esr, "double-dip fit of a stored ESR sweep", "ESR CSV file")
+    add("simulate", cmd_simulate, "simulate a detector time trace", "--seed", "--out")
+    add("psd", cmd_psd, "Welch PSD of a stored trace", "--axis", "--out",
+        takes_input="trace CSV file")
+    add("fit-psd", cmd_fit_psd, "Lorentzian fit of a stored PSD", takes_input="PSD CSV file")
+    add("fit-esr", cmd_fit_esr, "double-dip fit of a stored ESR sweep",
+        takes_input="ESR CSV file")
     add("calibrate", cmd_calibrate, "zero-power calibration from a sweep table",
-        "normalized-area table CSV")
+        takes_input="normalized-area table CSV")
     add("extract-k", cmd_extract_k, "coupling constant from matched series")
-    add("campaign", cmd_campaign, "run a full measurement campaign")
-    add("cylinder-k", cmd_cylinder_k, "cylinder coupling constants and anisotropy")
+    add("campaign", cmd_campaign, "run a full measurement campaign",
+        "--seed", "--out", "--format")
+    add("cylinder-k", cmd_cylinder_k, "cylinder coupling constants and anisotropy", "--out")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CalibrationError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
 

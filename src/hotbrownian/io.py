@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,22 @@ def _dump_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
+def _write_columns(path, header: str, columns: list, meta: dict) -> Path:
+    """Write ``columns`` as CSV under ``header`` and ``meta`` as its sidecar."""
+    path = Path(path)
+    np.savetxt(path, np.column_stack(columns), delimiter=",",
+               header=header, comments="", fmt=_FMT)
+    _dump_json(meta, _sidecar(path))
+    return _sidecar(path)
+
+
+def _read_columns(path) -> tuple[np.ndarray, dict]:
+    """The data rows and the sidecar of a file written by :func:`_write_columns`."""
+    path = Path(path)
+    meta = json.loads(_sidecar(path).read_text())
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2), meta
+
+
 # =============================================================================
 # Time traces
 # =============================================================================
@@ -68,35 +85,29 @@ def write_trace(trace: TimeTrace, path) -> Path:
     Returns the sidecar path.  Values use 17 significant digits, so
     :func:`read_trace` reproduces the samples bit-exactly.
     """
-    path = Path(path)
     labels = sorted(trace.signals.keys())
-    columns = [trace.times()] + [np.asarray(trace.signals[k], float) for k in labels]
-    header = ",".join(["t_s"] + [f"V{k}" for k in labels])
-    np.savetxt(path, np.column_stack(columns), delimiter=",",
-               header=header, comments="", fmt=_FMT)
-
     meta = trace.metadata
-    sidecar = {
-        "power_mW": meta.get("laser_power_mw"),
-        "pressure_hPa": meta.get("pressure_hpa"),
-        "dt_s": trace.dt,
-        "seed": meta.get("seed"),
-        "axes": labels,
-        "true_parameters": meta.get("true_parameters", {}),
-    }
-    _dump_json(sidecar, _sidecar(path))
-    return _sidecar(path)
+    return _write_columns(
+        path,
+        ",".join(["t_s"] + [f"V{k}" for k in labels]),
+        [trace.times()] + [np.asarray(trace.signals[k], float) for k in labels],
+        {
+            "power_mW": meta.get("laser_power_mw"),
+            "pressure_hPa": meta.get("pressure_hpa"),
+            "dt_s": trace.dt,
+            "seed": meta.get("seed"),
+            "axes": labels,
+            "true_parameters": meta.get("true_parameters", {}),
+        },
+    )
 
 
 def read_trace(path) -> TimeTrace:
     """Load a trace written by :func:`write_trace`."""
-    path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    signals = {label: data[:, 1 + i] for i, label in enumerate(meta["axes"])}
+    data, meta = _read_columns(path)
     return TimeTrace(
         dt=float(meta["dt_s"]),
-        signals=signals,
+        signals={label: data[:, 1 + i] for i, label in enumerate(meta["axes"])},
         metadata={
             "laser_power_mw": meta.get("power_mW"),
             "pressure_hpa": meta.get("pressure_hPa"),
@@ -112,24 +123,14 @@ def read_trace(path) -> TimeTrace:
 
 def write_psd(psd: Psd, path) -> Path:
     """Write a PSD as CSV (f_Hz, S) with window/segment sidecar."""
-    path = Path(path)
-    np.savetxt(path, np.column_stack([psd.frequencies, psd.values]),
-               delimiter=",", header="f_Hz,S", comments="", fmt=_FMT)
-    _dump_json(
-        {
-            "window": psd.window_name,
-            "segments": psd.segment_count,
-            "dt_s": psd.dt,
-        },
-        _sidecar(path),
+    return _write_columns(
+        path, "f_Hz,S", [psd.frequencies, psd.values],
+        {"window": psd.window_name, "segments": psd.segment_count, "dt_s": psd.dt},
     )
-    return _sidecar(path)
 
 
 def read_psd(path) -> Psd:
-    path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data, meta = _read_columns(path)
     return Psd(
         frequencies=data[:, 0],
         values=data[:, 1],
@@ -141,23 +142,15 @@ def read_psd(path) -> Psd:
 
 def write_esr(spectrum: EsrSpectrum, path) -> Path:
     """Write an ESR sweep as CSV (f_Hz, counts) with metadata sidecar."""
-    path = Path(path)
-    np.savetxt(
-        path,
-        np.column_stack([spectrum.microwave_frequencies, spectrum.pl_counts]),
-        delimiter=",", header="f_Hz,counts", comments="", fmt=_FMT,
+    return _write_columns(
+        path, "f_Hz,counts", [spectrum.microwave_frequencies, spectrum.pl_counts],
+        dict(spectrum.metadata),
     )
-    _dump_json(dict(spectrum.metadata), _sidecar(path))
-    return _sidecar(path)
 
 
 def read_esr(path) -> EsrSpectrum:
-    path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return EsrSpectrum(
-        microwave_frequencies=data[:, 0], pl_counts=data[:, 1], metadata=meta
-    )
+    data, meta = _read_columns(path)
+    return EsrSpectrum(microwave_frequencies=data[:, 0], pl_counts=data[:, 1], metadata=meta)
 
 
 # =============================================================================
@@ -288,18 +281,22 @@ def write_report(report: CampaignReport, outdir, format: str = "csv") -> Path:
 def write_cylinder_k_csv(
     path,
     radius: float,
-    aspect_ratios,
+    aspect_ratios: Sequence[float],
     gas: GasEnvironment,
     density: float = 3500.0,
-    delta_t_grid=None,
+    delta_t_grid: Sequence[float] | None = None,
 ) -> Path:
     """Tabulate cylinder coupling constants against shape anisotropy.
 
     One row per aspect ratio x = length/(2*radius): the drag anisotropy
     factor g and the slope-procedure coupling constants of both axes,
-    next to the sphere value from the identical procedure.
+    next to the sphere value from the identical procedure.  Returns the
+    CSV: ``path`` itself if it has a suffix, else an existing directory's
+    ``cylinder_coupling_vs_anisotropy.csv``.
     """
     path = Path(path)
+    if not path.suffix:
+        path = path / "cylinder_coupling_vs_anisotropy.csv"
     k_sphere = sphere_k(t0=gas.temperature, delta_t_grid=delta_t_grid)
     rows = []
     for x in aspect_ratios:
@@ -316,7 +313,7 @@ def write_cylinder_k_csv(
             float(k_sphere),
         ])
     _write_csv(
-        path if path.suffix == ".csv" else path / "cylinder_coupling_vs_anisotropy.csv",
+        path,
         ["length_over_diameter", "g", "k_parallel", "k_perpendicular", "k_sphere"],
         rows,
     )

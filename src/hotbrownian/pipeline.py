@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._leastsq import line_fit
-from .core import CONSTANTS, GasEnvironment, ParticleModel, Sphere, mw_to_w
+from .core import CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis, mw_to_w
 from .errors import CalibrationError, ConfigError, DomainError, EstimationError, HotBrownianError
 from .simulate import AnomalyInjection, SimulationConfig, simulate_esr, simulate_trace
 from .spectral import PsdFit, fit_psd, welch_psd
@@ -390,12 +390,12 @@ class EsrSettings:
 class CampaignConfig:
     """Full specification of a simulated measurement campaign."""
 
-    pressures_hpa: tuple
-    laser_powers_mw: tuple
+    pressures_hpa: tuple[float, ...]
+    laser_powers_mw: tuple[float, ...]
     repetitions: int
     duration_s: float
     dt_s: float
-    axes: tuple
+    axes: tuple[TrapAxis, ...]
     particle: ParticleModel
     heating: HeatingLaw
     alpha_c: float = 1.0
@@ -406,7 +406,7 @@ class CampaignConfig:
     rng_seed: int = 0
     esr: EsrSettings = field(default_factory=EsrSettings)
     segment_length: int = 16384
-    fit_band: tuple | None = None
+    fit_band: tuple[float, float] | None = None
     noise_floor: str = "none"
     measurement_noise_psd: float = 0.0
     thresholds: ClassificationThresholds = field(default_factory=ClassificationThresholds)

@@ -125,7 +125,6 @@ class TestExtractKCommand:
     def test_inline_series(self, tmp_path, capsys):
         k_b = 1.380649e-23
         cfg = write_json(tmp_path / "k.json", {
-            "pressure_hpa": 45.0,
             "energy": [[p, k_b * (294.0 + 0.3 * 0.17 * p)] for p in (20, 60, 100, 140)],
             "temperature": [[p, 294.0 + 0.17 * p] for p in (20, 60, 100, 140)],
         })
@@ -216,6 +215,15 @@ class TestCylinderKCommand:
         data = np.loadtxt(table, delimiter=",", skiprows=1)
         assert data.shape == (3, 5)
 
+    def test_out_with_a_suffix_names_the_csv(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cyl.json", {"aspect_ratios": [1.0, 2.0]})
+        table = tmp_path / "cylinder.csv"
+        code, out, _ = run(capsys, "cylinder-k", "--config", cfg, "--out", str(table))
+        assert code == 0
+        assert out.strip() == str(table)
+        assert table.is_file()
+        assert np.loadtxt(table, delimiter=",", skiprows=1).shape == (2, 5)
+
 
 # =============================================================================
 # error exit codes
@@ -257,3 +265,118 @@ class TestErrorExits:
                            "--out", str(tmp_path / "t.csv"))
         assert code == 3
         assert "spher" in err
+
+
+# =============================================================================
+# config keys, flags and usage errors
+# =============================================================================
+
+# One key each command reads, to find among the valid keys an error names.
+VALID_KEY = {
+    "simulate": "duration_s",
+    "psd": "segment_length",
+    "fit-psd": "noise_floor",
+    "fit-esr": "zfs_law",
+    "calibrate": "room_temperature",
+    "extract-k": "energy",
+    "campaign": "pressures_hpa",
+    "cylinder-k": "aspect_ratios",
+}
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("command", sorted(VALID_KEY))
+    def test_unknown_key_exits_3_naming_the_valid_keys(self, command, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"no_such_key": 1})
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == 3
+        assert "'no_such_key'" in err
+        assert "valid keys" in err and VALID_KEY[command] in err
+
+    def test_misspelled_duration_exits_3_without_simulating(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", {"duraton_s": 0.01, "dt_s": 1e-6})
+        code, _, err = run(capsys, "simulate", "--config", cfg,
+                           "--out", str(tmp_path / "trace.csv"))
+        assert code == 3
+        assert "duraton_s" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("value", ["abc", [1], True])
+    def test_wrong_typed_value_exits_3_naming_the_key(self, value, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", {"duration_s": value})
+        code, _, err = run(capsys, "simulate", "--config", cfg)
+        assert code == 3
+        assert "'duration_s'" in err
+
+    def test_unknown_nested_key_exits_3(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "camp.json", {"esr": {"linewidth": 1e6}})
+        code, _, err = run(capsys, "campaign", "--config", cfg)
+        assert code == 3
+        assert "linewidth_hz" in err
+
+    def test_one_element_series_row_exits_3(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "k.json", {
+            "energy": [[20.0, 1e-21], [60.0], [100.0, 3e-21]],
+            "temperature": [[p, 294.0 + 0.17 * p] for p in (20, 60, 100)],
+        })
+        code, _, err = run(capsys, "extract-k", "--config", cfg)
+        assert code == 3
+        assert "'energy'" in err
+
+    def test_missing_series_exits_3(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "k.json", {"temperature": [[20.0, 294.0]]})
+        code, _, err = run(capsys, "extract-k", "--config", cfg)
+        assert code == 3
+        assert "'energy'" in err
+
+    def test_unknown_axis_exits_3_naming_the_trace_axes(self, tmp_path, capsys):
+        sim = write_json(tmp_path / "sim.json", {"duration_s": 0.01, "dt_s": 1e-6})
+        trace = str(tmp_path / "trace.csv")
+        assert run(capsys, "simulate", "--config", sim, "--out", trace)[0] == 0
+        code, _, err = run(capsys, "psd", trace, "--axis", "z",
+                           "--out", str(tmp_path / "psd.csv"))
+        assert code == 3
+        assert "'z'" in err and "x, y" in err
+        assert not (tmp_path / "psd.csv").exists()
+
+    def test_library_bug_propagates(self, tmp_path, capsys, monkeypatch):
+        sim = write_json(tmp_path / "sim.json", {"duration_s": 0.01, "dt_s": 1e-6})
+        trace, psd = str(tmp_path / "trace.csv"), str(tmp_path / "psd.csv")
+        assert run(capsys, "simulate", "--config", sim, "--out", trace)[0] == 0
+        assert run(capsys, "psd", trace, "--out", psd)[0] == 0
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr("hotbrownian.cli.fit_psd", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["fit-psd", psd])
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["psd", "--seed", "9"],
+        ["psd", "--format", "json"],
+        ["fit-psd", "--out", "nowhere/"],
+        ["extract-k", "--seed", "1"],
+        ["cylinder-k", "--format", "csv"],
+        ["psd", "--bogus"],
+    ])
+    def test_flag_the_command_does_not_read_exits_3(self, argv, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "nowhere").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["psd", "--help"])
+        assert exc.value.code == 0
+        assert "--axis" in capsys.readouterr().out
+
+    def test_cylinder_out_without_a_table_exits_3(self, tmp_path, capsys):
+        code, _, err = run(capsys, "cylinder-k", "--out", str(tmp_path / "c.csv"))
+        assert code == 3
+        assert "aspect_ratios" in err

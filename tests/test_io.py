@@ -248,6 +248,14 @@ class TestCylinderKCsv:
         write_cylinder_k_csv(tmp_path, radius=40e-9, aspect_ratios=(2.0,), gas=gas45)
         assert (tmp_path / "cylinder_coupling_vs_anisotropy.csv").exists()
 
+    def test_returns_the_csv_it_wrote(self, gas45, tmp_path):
+        table = tmp_path / "cylinder_coupling_vs_anisotropy.csv"
+        assert write_cylinder_k_csv(tmp_path, radius=40e-9, aspect_ratios=(2.0,),
+                                    gas=gas45) == table
+        named = tmp_path / "shapes.csv"
+        assert write_cylinder_k_csv(named, radius=40e-9, aspect_ratios=(2.0,),
+                                    gas=gas45) == named
+
     def test_matches_direct_evaluation(self, gas45, tmp_path):
         path = tmp_path / "cyl.csv"
         write_cylinder_k_csv(path, radius=40e-9, aspect_ratios=(2.5,), gas=gas45)
