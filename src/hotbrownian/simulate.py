@@ -196,14 +196,20 @@ def _sample_positions(
     v0 = math.sqrt(k_b * t_eff / mass) * rng.standard_normal()
     w = rng.standard_normal((2, n - 1))
     w1 = chol[0, 0] * w[0]
-    w2 = chol[1, 0] * w[0] + chol[1, 1] * w[1]
+    # w2 = chol[1, 0] * w[0] + chol[1, 1] * w[1], built in the buffer of w
+    w2 = np.multiply(w[0], chol[1, 0], out=w[0])
+    w2 += np.multiply(w[1], chol[1, 1], out=w[1])
 
     tr_p = phi[0, 0] + phi[1, 1]
     det_p = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
     drive = np.empty(n)
     drive[0] = q0
     drive[1] = phi[0, 0] * q0 + phi[0, 1] * v0 + w1[0] - tr_p * q0
-    drive[2:] = w1[1:] - phi[1, 1] * w1[:-1] + phi[0, 1] * w2[:-1]
+    # drive[2:] = w1[1:] - phi[1, 1] * w1[:-1] + phi[0, 1] * w2[:-1], in place
+    tail = np.multiply(w1[:-1], phi[1, 1], out=drive[2:])
+    np.subtract(w1[1:], tail, out=tail)
+    w2 *= phi[0, 1]
+    tail += w2[:-1]
     return scipy.signal.lfilter([1.0], [1.0, -tr_p, det_p], drive)
 
 

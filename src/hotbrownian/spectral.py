@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+import scipy.fft
 import scipy.signal
 
 from ._leastsq import least_squares_gn
@@ -30,6 +31,11 @@ __all__ = ["Psd", "PsdFit", "welch_psd", "psd_model", "fit_psd"]
 # =============================================================================
 # Welch estimation
 # =============================================================================
+
+# Samples windowed and transformed per rfft call (8 MB of float64): many
+# segments per call, with the temporaries of one block bounded.
+_WELCH_BLOCK_SAMPLES = 2**20
+
 
 @dataclass
 class Psd:
@@ -97,15 +103,21 @@ def welch_psd(
     step = nperseg - noverlap
     n_segments = 1 + (signal.size - nperseg) // step
 
-    freqs, values = scipy.signal.welch(
-        signal,
-        fs=1.0 / dt,
-        window=window,
-        nperseg=nperseg,
-        noverlap=noverlap,
-        detrend=False,
-        scaling="density",
-    )
+    # Same estimate as scipy.signal.welch(detrend=False, scaling="density")
+    # to rounding, but with one rfft call per block of segments instead of
+    # one per segment.
+    win = scipy.signal.get_window(window, nperseg)
+    segments = np.lib.stride_tricks.sliding_window_view(signal, nperseg)[::step]
+    block = max(1, _WELCH_BLOCK_SAMPLES // nperseg)
+    values = np.zeros(nperseg // 2 + 1)
+    for start in range(0, n_segments, block):
+        spectrum = scipy.fft.rfft(segments[start:start + block] * win, axis=-1)
+        power = spectrum.real**2
+        power += spectrum.imag**2
+        values += power.sum(axis=0)
+    values *= 1.0 / (n_segments * (win * win).sum() / dt)
+    values[1:(nperseg + 1) // 2] *= 2.0   # fold negative frequencies, not DC/Nyquist
+    freqs = scipy.fft.rfftfreq(nperseg, dt)
     if n_segments < 2:
         warnings.warn(
             f"PSD averaged over only {n_segments} segment(s); "
