@@ -6,16 +6,18 @@ Both spectral (Lorentzian PSD) and spin-resonance (double-dip) fits are
 smooth few-parameter least-squares problems with analytic Jacobians; a
 single Levenberg-style damped Gauss-Newton loop covers both.  The engine
 works on whatever residual the supplied callback returns, so weighting
-and log-space transforms stay in the callers.
+stays in the callers.
 
-Termination rules (tuned on synthetic ensembles of both fit families):
+Termination rules, with fixed tolerances tuned on synthetic ensembles
+of both fit families:
 
-* relative step below ``xtol`` — the primary criterion;
-* relative cost improvement below ``ftol``, counted only when the
+* relative step below ``_XTOL`` — the primary criterion;
+* relative cost improvement below ``_FTOL``, counted only when the
   accepted step was nearly undamped (lambda <= 1e-7), so heavily damped
   crawling cannot masquerade as convergence;
 * rejection exhaustion at a flat point, accepted as convergence only if
-  the scaled gradient is tiny compared to the cost.
+  the scaled gradient is tiny compared to the cost;
+* otherwise the run stops unconverged after ``_MAX_ITER`` iterations.
 
 Parameters can be declared strictly positive (steps violating that are
 rejected and retried with more damping) or floor-clamped at zero (the
@@ -35,6 +37,9 @@ from .errors import EstimationError
 __all__ = ["GnResult", "least_squares_gn"]
 
 _TINY = 1e-300
+_MAX_ITER = 200
+_XTOL = 1e-10                            # relative step
+_FTOL = 1e-12                            # relative cost improvement
 
 
 @dataclass
@@ -79,9 +84,6 @@ def least_squares_gn(
     p0: Sequence[float],
     positive: Sequence[int] = (),
     clamp_floor: Sequence[int] = (),
-    max_iter: int = 200,
-    xtol: float = 1e-10,
-    ftol: float = 1e-12,
 ) -> GnResult:
     """Minimize ||r(p)||^2 given a residual-and-Jacobian callback.
 
@@ -107,7 +109,7 @@ def least_squares_gn(
     converged = False
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         g = J.T @ r                      # half-gradient of the cost
         jtj = J.T @ J
         damp = np.diag(jtj).copy()
@@ -149,10 +151,10 @@ def least_squares_gn(
             break
 
         rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(p), _TINY)))
-        if rel_step < xtol:
+        if rel_step < _XTOL:
             converged = True
             break
-        if lam_used <= 1e-7 and (cost_prev - cost) <= ftol * max(cost_prev, _TINY):
+        if lam_used <= 1e-7 and (cost_prev - cost) <= _FTOL * max(cost_prev, _TINY):
             converged = True
             break
 

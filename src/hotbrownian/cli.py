@@ -9,17 +9,20 @@ or, where there is none, the bundled example in ``_EXAMPLE``.  Unknown
 keys, wrong-typed values and flags a command does not read are refused.
 
 Exit codes: 0 success, 2 fit/calibration failure, 3 invalid configuration,
-usage or unreadable file.  Any other exception is a bug: a traceback.
+usage, or unreadable or malformed file.  Any other exception is a bug: a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections.abc
+import ctypes
 import dataclasses
 import inspect
 import json
 import math
+import os
 import sys
 import types
 import typing
@@ -29,8 +32,8 @@ import numpy as np
 
 from .core import Cylinder, GasEnvironment, ParticleModel, Sphere, mw_to_w
 from .errors import CalibrationError, ConfigError, DomainError, EstimationError
-from .io import (load_zfs_law, read_esr, read_psd, read_trace, write_cylinder_k_csv,
-                 write_psd, write_report, write_trace)
+from .io import (_malformed, load_zfs_law, read_esr, read_psd, read_trace,
+                 write_cylinder_k_csv, write_psd, write_report, write_trace)
 from .pipeline import (CampaignConfig, EnergyPoint, PowerSweepPoint, calibrate,
                        extract_k, run_campaign)
 from .simulate import SimulationConfig, simulate_trace
@@ -264,18 +267,20 @@ def cmd_calibrate(args) -> int:
     keys = _keys(calibrate, sweep=None)
     cfg = _config(args, {**keys, "pressure_hpa": _Key("pressure_hpa", float)},
                   input_key="points_csv")
-    rows = np.loadtxt(cfg["points_csv"], delimiter=",", skiprows=1, ndmin=2, dtype=str)
     pressure_filter = cfg.get("pressure_hpa")
     grouped: dict[tuple, dict] = {}
-    for row in rows:
-        pressure, axis, power, rep = float(row[0]), row[1], float(row[2]), int(float(row[3]))
-        if pressure_filter is not None and not math.isclose(pressure, pressure_filter):
-            continue
-        area, sigma, f_q, gamma = (float(v) for v in row[4:8])
-        grouped.setdefault((pressure, power, rep), {})[axis] = PsdFit(
-            A=area * f_q**2, f_q=f_q, gamma=gamma, floor=0.0, converged=True,
-            uncertainties={"A": sigma * f_q**2, "f_q": 0.0, "gamma": 0.0},
-        )
+    with _malformed(cfg["points_csv"]):
+        rows = np.loadtxt(cfg["points_csv"], delimiter=",", skiprows=1, ndmin=2, dtype=str)
+        for row in rows:
+            pressure, axis, power = float(row[0]), row[1], float(row[2])
+            rep = int(float(row[3]))
+            if pressure_filter is not None and not math.isclose(pressure, pressure_filter):
+                continue
+            area, sigma, f_q, gamma = (float(v) for v in row[4:8])
+            grouped.setdefault((pressure, power, rep), {})[axis] = PsdFit(
+                A=area * f_q**2, f_q=f_q, gamma=gamma, floor=0.0, converged=True,
+                uncertainties={"A": sigma * f_q**2, "f_q": 0.0, "gamma": 0.0},
+            )
     sweep = [
         PowerSweepPoint(laser_power=power, repetition_index=rep,
                         pressure_hpa=pressure, fits=fits)
@@ -395,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -405,6 +413,12 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # glibc keeps the tens of MB a trace command frees resident, or not,
+        # by the order of earlier allocations: a process running several
+        # commands peaked 30 MB higher in some runs than in others.
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
 
 if __name__ == "__main__":

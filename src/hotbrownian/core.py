@@ -94,7 +94,7 @@ class GasEnvironment:
 
     pressure: float                      # [hPa]
     molar_mass: float = 0.02897          # [kg/mol], dry air
-    temperature: float = 294.0           # [K]
+    temperature: float = CONSTANTS.room_temperature_T0  # [K]
 
     def __post_init__(self) -> None:
         if self.pressure <= 0:

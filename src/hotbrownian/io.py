@@ -8,6 +8,7 @@ document plus one CSV per figure-ready table, named by content.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .pipeline import CampaignReport, com_energy
 from .simulate import TimeTrace
 from .spectral import Psd
@@ -68,6 +69,19 @@ def _write_columns(path, header: str, columns: list, meta: dict) -> Path:
     return _sidecar(path)
 
 
+@contextlib.contextmanager
+def _malformed(path):
+    """Turn a parse failure while reading ``path`` into a ConfigError naming it.
+
+    A non-numeric value, a missing column, or a missing or null sidecar
+    key surfaces as ValueError, IndexError, KeyError or TypeError.
+    """
+    try:
+        yield
+    except (ValueError, IndexError, KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed file {path}: {exc}") from exc
+
+
 def _read_columns(path) -> tuple[np.ndarray, dict]:
     """The data rows and the sidecar of a file written by :func:`_write_columns`."""
     path = Path(path)
@@ -104,17 +118,18 @@ def write_trace(trace: TimeTrace, path) -> Path:
 
 def read_trace(path) -> TimeTrace:
     """Load a trace written by :func:`write_trace`."""
-    data, meta = _read_columns(path)
-    return TimeTrace(
-        dt=float(meta["dt_s"]),
-        signals={label: data[:, 1 + i] for i, label in enumerate(meta["axes"])},
-        metadata={
-            "laser_power_mw": meta.get("power_mW"),
-            "pressure_hpa": meta.get("pressure_hPa"),
-            "seed": meta.get("seed"),
-            "true_parameters": meta.get("true_parameters", {}),
-        },
-    )
+    with _malformed(path):
+        data, meta = _read_columns(path)
+        return TimeTrace(
+            dt=float(meta["dt_s"]),
+            signals={label: data[:, 1 + i] for i, label in enumerate(meta["axes"])},
+            metadata={
+                "laser_power_mw": meta.get("power_mW"),
+                "pressure_hpa": meta.get("pressure_hPa"),
+                "seed": meta.get("seed"),
+                "true_parameters": meta.get("true_parameters", {}),
+            },
+        )
 
 
 # =============================================================================
@@ -130,14 +145,15 @@ def write_psd(psd: Psd, path) -> Path:
 
 
 def read_psd(path) -> Psd:
-    data, meta = _read_columns(path)
-    return Psd(
-        frequencies=data[:, 0],
-        values=data[:, 1],
-        segment_count=int(meta["segments"]),
-        window_name=meta["window"],
-        dt=float(meta["dt_s"]),
-    )
+    with _malformed(path):
+        data, meta = _read_columns(path)
+        return Psd(
+            frequencies=data[:, 0],
+            values=data[:, 1],
+            segment_count=int(meta["segments"]),
+            window_name=meta["window"],
+            dt=float(meta["dt_s"]),
+        )
 
 
 def write_esr(spectrum: EsrSpectrum, path) -> Path:
@@ -149,8 +165,10 @@ def write_esr(spectrum: EsrSpectrum, path) -> Path:
 
 
 def read_esr(path) -> EsrSpectrum:
-    data, meta = _read_columns(path)
-    return EsrSpectrum(microwave_frequencies=data[:, 0], pl_counts=data[:, 1], metadata=meta)
+    with _malformed(path):
+        data, meta = _read_columns(path)
+        return EsrSpectrum(microwave_frequencies=data[:, 0], pl_counts=data[:, 1],
+                           metadata=meta)
 
 
 # =============================================================================
@@ -283,7 +301,7 @@ def write_cylinder_k_csv(
     radius: float,
     aspect_ratios: Sequence[float],
     gas: GasEnvironment,
-    density: float = 3500.0,
+    density: float = ParticleModel.density,
     delta_t_grid: Sequence[float] | None = None,
 ) -> Path:
     """Tabulate cylinder coupling constants against shape anisotropy.

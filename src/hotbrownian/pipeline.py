@@ -18,6 +18,7 @@ The chain mirrors an actual levitation experiment:
 
 from __future__ import annotations
 
+import inspect
 import logging
 import math
 import time
@@ -102,7 +103,8 @@ class CalibrationResult:
 
 
 def calibrate(
-    sweep: Sequence[PowerSweepPoint], room_temperature: float = 294.0
+    sweep: Sequence[PowerSweepPoint],
+    room_temperature: float = CONSTANTS.room_temperature_T0,
 ) -> CalibrationResult:
     """Regress normalized areas against laser power; calibrate at P -> 0.
 
@@ -353,8 +355,8 @@ def hydrodynamic_radius(
     gamma_hz: float,
     pressure_hpa: float,
     gas: GasEnvironment,
-    particle_density: float = 3500.0,
-    room_temperature: float = 294.0,
+    particle_density: float = ParticleModel.density,
+    room_temperature: float = CONSTANTS.room_temperature_T0,
 ) -> float:
     """Effective (Epstein) particle radius [m] from a fitted linewidth.
 
@@ -373,6 +375,11 @@ def hydrodynamic_radius(
 # =============================================================================
 # Campaign orchestration
 # =============================================================================
+
+def _default(func, name: str):
+    """The default of parameter ``name`` of ``func``, so it is written once."""
+    return inspect.signature(func).parameters[name].default
+
 
 @dataclass(frozen=True)
 class EsrSettings:
@@ -401,13 +408,13 @@ class CampaignConfig:
     alpha_c: float = 1.0
     anomaly: AnomalyInjection | None = None
     zfs_law: ZfsLaw | None = None        # None -> packaged default
-    molar_mass: float = 0.02897          # [kg/mol]
-    room_temperature: float = 294.0      # [K]
+    molar_mass: float = GasEnvironment.molar_mass  # [kg/mol]
+    room_temperature: float = CONSTANTS.room_temperature_T0  # [K]
     rng_seed: int = 0
     esr: EsrSettings = field(default_factory=EsrSettings)
-    segment_length: int = 16384
+    segment_length: int = _default(welch_psd, "segment_length")
     fit_band: tuple[float, float] | None = None
-    noise_floor: str = "none"
+    noise_floor: str = _default(fit_psd, "noise_floor")
     measurement_noise_psd: float = 0.0
     thresholds: ClassificationThresholds = field(default_factory=ClassificationThresholds)
     thermometry_only: bool = False

@@ -29,7 +29,8 @@ import numpy as np
 import scipy.linalg
 import scipy.signal
 
-from .core import CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis, w_to_mw
+from .core import (CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis,
+                   trap_frequency, w_to_mw)
 from .errors import ConfigError, DomainError
 from .thermometry import EsrSpectrum, ZfsLaw
 from .twobath import HeatingLaw, internal_temperature, make_bath_pair, sphere_drag
@@ -109,6 +110,14 @@ class SimulationConfig:
         labels = [axis.label for axis in self.axes]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate axis labels: {labels}")
+        nyquist = 0.5 / self.dt
+        for axis in self.axes:
+            f_q = trap_frequency(axis, self.laser_power)
+            if f_q >= nyquist:
+                raise ConfigError(
+                    f"axis {axis.label!r}: trap frequency {f_q:.6g} Hz is not below "
+                    f"the Nyquist frequency {nyquist:.6g} Hz of dt = {self.dt} s"
+                )
         if self.alpha_c < 0:
             raise ConfigError(f"alpha_c must be >= 0, got {self.alpha_c}")
         if self.measurement_noise_psd < 0:

@@ -154,12 +154,9 @@ def psd_model(
     at Nyquist and decays away from it.
     """
     f = np.asarray(f, dtype=float)
-    denom = (f**2 - f_q**2) ** 2 + (f * gamma) ** 2
-    out = (2.0 / np.pi) * A * f_q**2 * gamma / denom + floor
+    out = _core_terms(f, A, f_q, gamma)[0] + floor
     if sample_rate is not None:
-        f_m = sample_rate - f
-        denom_m = (f_m**2 - f_q**2) ** 2 + (f_m * gamma) ** 2
-        out = out + (2.0 / np.pi) * A * f_q**2 * gamma / denom_m
+        out = out + _core_terms(sample_rate - f, A, f_q, gamma)[0]
     return out
 
 
@@ -177,24 +174,21 @@ def _core_terms(f: np.ndarray, a: float, f_q: float, gamma: float):
     return core, d_a, d_fq, d_gamma
 
 
-def _model_and_jacobian(
-    f: np.ndarray, p: np.ndarray, with_floor: bool, f_mirror: np.ndarray | None = None
-):
+def _model_and_jacobian(f: np.ndarray, p: np.ndarray, with_floor: bool, f_mirror: np.ndarray):
     """Model value and analytic Jacobian w.r.t. (A, f_q, gamma[, c]).
 
-    ``f_mirror`` carries the alias-image frequencies fs - f; when given,
-    the mirrored Lorentzian is added so the model matches the spectrum
+    ``f_mirror`` carries the alias-image frequencies fs - f, where the
+    mirrored Lorentzian is evaluated, so the model matches the spectrum
     of a sampled (aliased) process.  The constant floor is not mirrored:
     it parameterizes the flat level as measured.
     """
     a, f_q, gamma = p[0], p[1], p[2]
     core, d_a, d_fq, d_gamma = _core_terms(f, a, f_q, gamma)
-    if f_mirror is not None:
-        core_m, d_a_m, d_fq_m, d_gamma_m = _core_terms(f_mirror, a, f_q, gamma)
-        core = core + core_m
-        d_a = d_a + d_a_m
-        d_fq = d_fq + d_fq_m
-        d_gamma = d_gamma + d_gamma_m
+    core_m, d_a_m, d_fq_m, d_gamma_m = _core_terms(f_mirror, a, f_q, gamma)
+    core = core + core_m
+    d_a = d_a + d_a_m
+    d_fq = d_fq + d_fq_m
+    d_gamma = d_gamma + d_gamma_m
     model = core + (p[3] if with_floor else 0.0)
 
     cols = [d_a, d_fq, d_gamma]
@@ -239,8 +233,8 @@ class PsdFit:
     """Lorentzian fit result.
 
     ``gamma`` is the linewidth in Hz; multiply by 2*pi for the damping
-    rate in rad/s.  ``fit_residual`` is the cost per degree of freedom in
-    whatever residual space the fit ran in.
+    rate in rad/s.  ``fit_residual`` is the cost per degree of freedom of
+    the relative residuals (model - data)/data.
     """
 
     A: float                             # [signal^2]
@@ -270,33 +264,26 @@ def fit_psd(
     psd: Psd,
     fit_band: tuple[float, float] | None = None,
     noise_floor: str = "none",
-    weighting: str = "proportional",
-    log_space: bool = False,
-    alias_fold: bool = True,
 ) -> PsdFit:
     """Fit the Lorentzian line shape to a Welch PSD.
+
+    Residuals are divided by the data (constant relative error, as for
+    chi-squared distributed bins).  The model always folds in the first
+    alias image of the line (see :func:`psd_model`): sampling reflects
+    the 1/f^4 tail at Nyquist, and relative-error weighting over a wide
+    band gives those bins enough pull to inflate the fitted linewidth by
+    several percent when the model ignores them.
 
     Parameters
     ----------
     psd:
-        Estimate from :func:`welch_psd`.
+        Estimate from :func:`welch_psd`; its sampling step ``dt`` places
+        the alias image.
     fit_band:
         Optional (f_lo, f_hi) window [Hz]; the DC bin is always excluded.
     noise_floor:
         ``"none"`` fixes the additive floor at zero;
         ``"fitted_constant"`` fits it as fourth parameter (clamped >= 0).
-    weighting:
-        ``"proportional"`` divides residuals by the data (constant
-        relative error, correct for chi-squared distributed bins) or
-        ``"uniform"`` for unweighted residuals.
-    log_space:
-        Fit log(model) - log(data) instead; a robust cross-check mode.
-    alias_fold:
-        Fold the first alias image of the line into the model (requires
-        ``psd.dt``).  Sampling reflects the 1/f^4 tail at Nyquist, and
-        relative-error weighting over a wide band gives those bins enough
-        pull to inflate the fitted linewidth by several percent when the
-        model ignores them.
 
     Returns
     -------
@@ -304,11 +291,17 @@ def fit_psd(
         With ``converged`` False when the optimizer gave up and
         ``overdamped`` set when gamma > f_q, where the line shape no
         longer constrains frequency and width independently.
+
+    Raises
+    ------
+    DomainError
+        On an unknown ``noise_floor``, an inverted ``fit_band`` or
+        ``psd.dt <= 0``.
     """
     if noise_floor not in ("none", "fitted_constant"):
         raise DomainError(f"unknown noise_floor mode {noise_floor!r}")
-    if weighting not in ("proportional", "uniform"):
-        raise DomainError(f"unknown weighting {weighting!r}")
+    if not psd.dt > 0:
+        raise DomainError(f"psd.dt must be > 0 to place the alias image, got {psd.dt}")
 
     f_all = np.asarray(psd.frequencies, dtype=float)
     s_all = np.asarray(psd.values, dtype=float)
@@ -329,24 +322,12 @@ def fit_psd(
 
     with_floor = noise_floor == "fitted_constant"
     p0 = np.asarray(_fit_starts(f, s, with_floor), dtype=float)
-    f_mirror = None
-    if alias_fold and psd.dt and psd.dt > 0:
-        f_mirror = 1.0 / psd.dt - f
+    f_mirror = 1.0 / psd.dt - f
+    w = 1.0 / s
 
-    if log_space:
-        log_s = np.log(s)
-
-        def resid_jac(p):
-            model, jac = _model_and_jacobian(f, p, with_floor, f_mirror)
-            safe = np.maximum(model, 1e-300)
-            return np.log(safe) - log_s, jac / safe[:, None]
-
-    else:
-        w = 1.0 / s if weighting == "proportional" else np.ones_like(s)
-
-        def resid_jac(p):
-            model, jac = _model_and_jacobian(f, p, with_floor, f_mirror)
-            return (model - s) * w, jac * w[:, None]
+    def resid_jac(p):
+        model, jac = _model_and_jacobian(f, p, with_floor, f_mirror)
+        return (model - s) * w, jac * w[:, None]
 
     result = least_squares_gn(
         resid_jac,

@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._leastsq import least_squares_gn, line_fit
+from .core import CONSTANTS
 from .errors import DomainError, EstimationError
 
 __all__ = [
@@ -181,50 +182,27 @@ class EsrFit:
     n_points: int = 0
 
 
-def _dip(f, center, width):
-    """Unit-peak Lorentzian dip profile with FWHM ``width``."""
-    h = 0.5 * width
-    return h * h / ((f - center) ** 2 + h * h)
+def _dips_resid_jac(f, counts):
+    """Residual and Jacobian of B*(1 - sum_k C_k*L(f; f_k, w_k)) - counts.
 
-
-def _double_dip_resid_jac(f, counts):
+    Parameters are ``[B, (C, f, w) x n]``; n follows from their number.
+    """
     def resid_jac(p):
-        b, c1, f1, w1, c2, f2, w2 = p
-        h1, h2 = 0.5 * w1, 0.5 * w2
-        d1, d2 = f - f1, f - f2
-        den1 = d1 * d1 + h1 * h1
-        den2 = d2 * d2 + h2 * h2
-        l1 = h1 * h1 / den1
-        l2 = h2 * h2 / den2
-        model = b * (1.0 - c1 * l1 - c2 * l2)
-
-        jac = np.empty((f.size, 7))
-        jac[:, 0] = 1.0 - c1 * l1 - c2 * l2
-        jac[:, 1] = -b * l1
-        jac[:, 2] = -b * c1 * (2.0 * h1 * h1 * d1 / den1**2)
-        jac[:, 3] = -b * c1 * (h1 * d1 * d1 / den1**2)
-        jac[:, 4] = -b * l2
-        jac[:, 5] = -b * c2 * (2.0 * h2 * h2 * d2 / den2**2)
-        jac[:, 6] = -b * c2 * (h2 * d2 * d2 / den2**2)
-        return model - counts, jac
-
-    return resid_jac
-
-
-def _single_dip_resid_jac(f, counts):
-    def resid_jac(p):
-        b, c1, f1, w1 = p
-        h = 0.5 * w1
-        d = f - f1
-        den = d * d + h * h
-        dip = h * h / den
-        model = b * (1.0 - c1 * dip)
-        jac = np.empty((f.size, 4))
-        jac[:, 0] = 1.0 - c1 * dip
-        jac[:, 1] = -b * dip
-        jac[:, 2] = -b * c1 * (2.0 * h * h * d / den**2)
-        jac[:, 3] = -b * c1 * (h * d * d / den**2)
-        return model - counts, jac
+        b = p[0]
+        jac = np.empty((f.size, p.size))
+        shape = 1.0
+        for k in range(1, p.size, 3):
+            c, center, width = p[k:k + 3]
+            h = 0.5 * width
+            d = f - center
+            den = d * d + h * h
+            dip = h * h / den
+            shape = shape - c * dip
+            jac[:, k] = -b * dip
+            jac[:, k + 1] = -b * c * (2.0 * h * h * d / den**2)
+            jac[:, k + 2] = -b * c * (h * d * d / den**2)
+        jac[:, 0] = shape
+        return b * shape - counts, jac
 
     return resid_jac
 
@@ -271,9 +249,7 @@ def fit_esr(spectrum: EsrSpectrum) -> EsrFit:
         contrast0, center - half_span, half_span,
         contrast0, center + half_span, half_span,
     ])
-    result = least_squares_gn(
-        _double_dip_resid_jac(f, counts), p0, positive=tuple(range(7))
-    )
+    result = least_squares_gn(_dips_resid_jac(f, counts), p0, positive=tuple(range(7)))
 
     splitting = abs(result.params[5] - result.params[2])
     if result.converged and splitting >= df:
@@ -309,9 +285,7 @@ def fit_esr(spectrum: EsrSpectrum) -> EsrFit:
 
     # Single-dip fallback: unresolved splitting.
     p0_single = np.array([baseline, contrast0, center, 2.0 * half_span])
-    single = least_squares_gn(
-        _single_dip_resid_jac(f, counts), p0_single, positive=(0, 1, 2, 3)
-    )
+    single = least_squares_gn(_dips_resid_jac(f, counts), p0_single, positive=(0, 1, 2, 3))
     b, c1, f1, w1 = single.params
     sig = single.sigma(f.size)
     unc = {
@@ -398,7 +372,8 @@ class HeatingFit:
 
 
 def fit_heating_law(
-    points: Sequence[TemperaturePoint], room_temperature: float = 294.0
+    points: Sequence[TemperaturePoint],
+    room_temperature: float = CONSTANTS.room_temperature_T0,
 ) -> HeatingFit:
     """Weighted linear regression of raw temperatures on P/p.
 

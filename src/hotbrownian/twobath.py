@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._leastsq import line_fit
-from .core import Cylinder, GasEnvironment, ParticleModel, Sphere
+from .core import CONSTANTS, Cylinder, GasEnvironment, ParticleModel, Sphere
 from .errors import AccommodationWarning, DomainError, EstimationError
 
 __all__ = [
@@ -93,7 +93,7 @@ class HeatingLaw:
     """
 
     kappa_heat: float                    # [K*hPa/mW]
-    T0: float = 294.0                    # [K]
+    T0: float = CONSTANTS.room_temperature_T0  # [K]
 
     def __post_init__(self) -> None:
         if self.kappa_heat < 0:
@@ -442,7 +442,7 @@ def cylinder_k(
 
 
 def sphere_k(
-    t0: float = 294.0,
+    t0: float = CONSTANTS.room_temperature_T0,
     alpha_c: float = 1.0,
     delta_t_grid: np.ndarray | None = None,
 ) -> float:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import ctypes
 import json
 
 import numpy as np
@@ -119,6 +120,13 @@ class TestCalibrateCommand:
         code, _, err = run(capsys, "calibrate", table)
         assert code == 2
         assert "error" in err
+
+    def test_three_column_table_exits_3_naming_the_file(self, tmp_path, capsys):
+        table = tmp_path / "areas.csv"
+        table.write_text("pressure_hpa,axis,laser_power_mw\n45.0,x,20.0\n45.0,x,60.0\n")
+        code, _, err = run(capsys, "calibrate", str(table))
+        assert code == 3
+        assert "areas.csv" in err
 
 
 class TestExtractKCommand:
@@ -256,6 +264,18 @@ class TestErrorExits:
         assert code == 3
         assert "noise_floor" in err
 
+    def test_non_numeric_psd_exits_3_naming_the_file(self, tmp_path, capsys):
+        sim = write_json(tmp_path / "sim.json", {"duration_s": 0.01, "dt_s": 1e-6})
+        trace, psd = str(tmp_path / "trace.csv"), tmp_path / "bad.csv"
+        assert run(capsys, "simulate", "--config", sim, "--out", trace)[0] == 0
+        assert run(capsys, "psd", trace, "--out", str(psd))[0] == 0
+        lines = psd.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",abc"
+        psd.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "fit-psd", str(psd))
+        assert code == 3
+        assert "bad.csv" in err
+
     def test_cylinder_trace_simulation_exits_3(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", {
             "duration_s": 0.01, "dt_s": 1e-6,
@@ -270,6 +290,9 @@ class TestErrorExits:
 # =============================================================================
 # config keys, flags and usage errors
 # =============================================================================
+
+# Keys a command no longer reads: refused like any unknown key.
+GONE_KEYS = {"fit-psd": ("weighting", "log_space", "alias_fold")}
 
 # One key each command reads, to find among the valid keys an error names.
 VALID_KEY = {
@@ -287,11 +310,12 @@ VALID_KEY = {
 class TestConfigChecks:
     @pytest.mark.parametrize("command", sorted(VALID_KEY))
     def test_unknown_key_exits_3_naming_the_valid_keys(self, command, tmp_path, capsys):
-        cfg = write_json(tmp_path / "cfg.json", {"no_such_key": 1})
-        code, _, err = run(capsys, command, "--config", cfg)
-        assert code == 3
-        assert "'no_such_key'" in err
-        assert "valid keys" in err and VALID_KEY[command] in err
+        for key in ("no_such_key",) + GONE_KEYS.get(command, ()):
+            cfg = write_json(tmp_path / "cfg.json", {key: 1})
+            code, _, err = run(capsys, command, "--config", cfg)
+            assert code == 3
+            assert f"'{key}'" in err
+            assert "valid keys" in err and VALID_KEY[command] in err
 
     def test_misspelled_duration_exits_3_without_simulating(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", {"duraton_s": 0.01, "dt_s": 1e-6})
@@ -380,3 +404,30 @@ class TestFlags:
         code, _, err = run(capsys, "cylinder-k", "--out", str(tmp_path / "c.csv"))
         assert code == 3
         assert "aspect_ratios" in err
+
+
+# =============================================================================
+# Memory
+# =============================================================================
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def test_command_hands_freed_heap_memory_back(tmp_path, capsys):
+    """Freed arrays left at the top of the heap do not outlive a command."""
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        pytest.skip("needs glibc's mallinfo2")
+    mallinfo2.restype = _MallInfo2
+    # Freeing a 32 MB mmapped block raises glibc's trim threshold to 64 MB,
+    # so the 32 MB of blocks freed next stay in the heap.
+    np.ones(4_000_000)
+    blocks = [np.ones(1_000_000) for _ in range(4)]
+    del blocks
+    assert mallinfo2().fordblks > 30e6
+    code, _, _ = run(capsys, "fit-psd", str(tmp_path / "missing.csv"))
+    assert code == 3
+    assert mallinfo2().fordblks < 10e6

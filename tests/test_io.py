@@ -10,6 +10,7 @@ import pytest
 import hotbrownian as hb
 from hotbrownian import (
     CampaignConfig,
+    ConfigError,
     DomainError,
     SimulationConfig,
     default_zfs_law,
@@ -101,6 +102,14 @@ class TestTraceIo:
         with pytest.raises(OSError):
             read_trace(path)
 
+    def test_missing_column_is_a_config_error_naming_the_file(self, small_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(small_trace, path)
+        rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        path.write_text("\n".join(rows) + "\n")          # drop the Vy column
+        with pytest.raises(ConfigError, match="trace.csv"):
+            read_trace(path)
+
 
 # =============================================================================
 # PSD and ESR round trips
@@ -118,6 +127,13 @@ class TestSpectrumIo:
         assert back.window_name == psd.window_name
         assert back.dt == psd.dt
 
+    def test_null_sampling_step_is_a_config_error_naming_the_file(self, small_trace, tmp_path):
+        path = tmp_path / "psd_x.csv"
+        sidecar = write_psd(welch_psd(small_trace, axis="x", segment_length=512), path)
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "dt_s": None}))
+        with pytest.raises(ConfigError, match="psd_x.csv"):
+            read_psd(path)
+
     def test_esr_round_trip(self, heating17, tmp_path):
         sweep = simulate_esr(heating17, default_zfs_law(), laser_power=60.0,
                              pressure=45.0, strain_E=5.2e6, contrast=0.22,
@@ -131,6 +147,23 @@ class TestSpectrumIo:
         assert back.metadata["t_int"] == sweep.metadata["t_int"]
         assert back.metadata["d_true"] == sweep.metadata["d_true"]
         assert back.metadata["seed"] == 4
+
+    @pytest.mark.parametrize("reader, writer", [(read_psd, write_psd), (read_esr, write_esr)])
+    def test_non_numeric_value_is_a_config_error_naming_the_file(
+        self, reader, writer, small_trace, heating17, tmp_path
+    ):
+        path = tmp_path / "spectrum.csv"
+        if writer is write_psd:
+            writer(welch_psd(small_trace, axis="x", segment_length=512), path)
+        else:
+            writer(simulate_esr(heating17, default_zfs_law(), laser_power=60.0,
+                                pressure=45.0, strain_E=5.2e6, contrast=0.22,
+                                linewidth=2.5e6, noise_level=1.0, rng_seed=4), path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="spectrum.csv"):
+            reader(path)
 
 
 class TestZfsLawIo:

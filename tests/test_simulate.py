@@ -54,6 +54,15 @@ class TestConfigValidation:
             base_config(axes_pair, sphere_particle, heating17, gas45,
                         measurement_noise_psd=-1e-20)
 
+    def test_rejects_a_trap_frequency_not_below_nyquist(
+        self, axes_pair, sphere_particle, heating17, gas45
+    ):
+        # At 100 mW the x trap runs at 57.1 kHz and the y trap at 49.0 kHz;
+        # dt = 10 us puts the Nyquist frequency at 50 kHz.
+        with pytest.raises(ConfigError, match="'x'.*Nyquist"):
+            base_config(axes_pair, sphere_particle, heating17, gas45, dt=1e-5)
+        base_config(axes_pair[1:], sphere_particle, heating17, gas45, dt=1e-5)
+
     def test_rejects_anomaly_on_unknown_axis(self, axes_pair, sphere_particle, heating17, gas45):
         bad = AnomalyInjection(axis="z", extra_force_psd_per_mw=1e-34)
         with pytest.raises(ConfigError, match="anomaly axis"):

@@ -10,7 +10,10 @@ from hotbrownian import DomainError, EstimationError, Psd, PsdFit, fit_psd, psd_
 from hotbrownian.simulate import TimeTrace
 
 
-def make_psd(frequencies, values, dt=0.0, segment_count=200):
+FS = 1.0e6                               # sample rate of the model grids [Hz]
+
+
+def make_psd(frequencies, values, dt=1.0 / FS, segment_count=200):
     return Psd(
         frequencies=np.asarray(frequencies, dtype=float),
         values=np.asarray(values, dtype=float),
@@ -20,7 +23,7 @@ def make_psd(frequencies, values, dt=0.0, segment_count=200):
     )
 
 
-def model_grid(fs=1.0e6, n=8192):
+def model_grid(fs=FS, n=8192):
     """Welch-like one-sided frequency grid including the DC bin."""
     return np.arange(n // 2 + 1) * (fs / n)
 
@@ -179,7 +182,8 @@ class TestFitCleanRecovery:
 
     def clean_psd(self, floor=0.0):
         f = model_grid()
-        return make_psd(f, psd_model(f, self.A, self.FQ, self.GAMMA, floor=floor))
+        return make_psd(f, psd_model(f, self.A, self.FQ, self.GAMMA, floor=floor,
+                                     sample_rate=FS))
 
     def assert_exact(self, fit, rel=1e-9):
         assert fit.converged
@@ -196,12 +200,6 @@ class TestFitCleanRecovery:
         assert fit.fit_residual < 1e-20
         assert set(fit.uncertainties) == {"A", "f_q", "gamma"}
 
-    def test_uniform_weighting(self):
-        self.assert_exact(fit_psd(self.clean_psd(), weighting="uniform"))
-
-    def test_log_space(self):
-        self.assert_exact(fit_psd(self.clean_psd(), log_space=True))
-
     def test_fit_band_restriction(self):
         fit = fit_psd(self.clean_psd(), fit_band=(3.0e4, 3.3e5))
         self.assert_exact(fit)
@@ -217,7 +215,7 @@ class TestFitCleanRecovery:
     def test_overdamped_line_sets_flag(self):
         # gamma > f_q: the hump peaks at DC and width/frequency decouple.
         f = model_grid()
-        psd = make_psd(f, psd_model(f, self.A, 2.0e4, 5.0e4))
+        psd = make_psd(f, psd_model(f, self.A, 2.0e4, 5.0e4, sample_rate=FS))
         fit = fit_psd(psd)
         assert fit.overdamped
         assert fit.gamma > fit.f_q
@@ -231,7 +229,7 @@ class TestFitCleanRecovery:
     def test_recovers_random_lines_exactly(self, a, fq, q_factor):
         gamma = fq / q_factor
         f = model_grid()
-        fit = fit_psd(make_psd(f, psd_model(f, a, fq, gamma)))
+        fit = fit_psd(make_psd(f, psd_model(f, a, fq, gamma, sample_rate=FS)))
         assert fit.converged
         assert fit.A == pytest.approx(a, rel=1e-6)
         assert fit.f_q == pytest.approx(fq, rel=1e-6)
@@ -246,33 +244,15 @@ class TestAliasFolding:
     A, FQ, GAMMA = 3.2e-4, 1.8e5, 3.0e4
 
     def folded_psd(self):
-        fs = 1.0e6
-        f = model_grid(fs)
-        values = psd_model(f, self.A, self.FQ, self.GAMMA, sample_rate=fs)
-        return make_psd(f, values, dt=1.0 / fs)
+        f = model_grid()
+        return make_psd(f, psd_model(f, self.A, self.FQ, self.GAMMA, sample_rate=FS))
 
     def test_fold_aware_fit_is_exact_on_folded_data(self):
-        fit = fit_psd(self.folded_psd(), alias_fold=True)
+        fit = fit_psd(self.folded_psd())
         assert fit.converged
         assert fit.A == pytest.approx(self.A, rel=1e-9)
         assert fit.f_q == pytest.approx(self.FQ, rel=1e-9)
         assert fit.gamma == pytest.approx(self.GAMMA, rel=1e-9)
-
-    def test_ignoring_the_fold_inflates_the_linewidth(self):
-        # Relative-error weighting hands the Nyquist-side bins real pull;
-        # pretending the reflected tail is Lorentzian pads the width by
-        # several percent (the bug class the fold option exists to kill).
-        fit = fit_psd(self.folded_psd(), alias_fold=False)
-        assert fit.gamma > 1.03 * self.GAMMA
-
-    def test_fold_needs_a_sampling_step(self):
-        # dt=0 marks a synthetic grid: the fold silently switches off and
-        # both settings agree bit for bit.
-        f = model_grid()
-        psd = make_psd(f, psd_model(f, self.A, self.FQ, self.GAMMA), dt=0.0)
-        a = fit_psd(psd, alias_fold=True)
-        b = fit_psd(psd, alias_fold=False)
-        assert (a.A, a.f_q, a.gamma) == (b.A, b.f_q, b.gamma)
 
 
 # =============================================================================
@@ -287,7 +267,8 @@ class TestFitNoisyRecovery:
         a, fq, gamma, k = 3.2e-4, 1.8e5, 3.0e3, 243
         rng = np.random.default_rng(7)
         f = model_grid()
-        values = psd_model(f, a, fq, gamma) * rng.chisquare(2 * k, size=f.size) / (2 * k)
+        values = (psd_model(f, a, fq, gamma, sample_rate=FS)
+                  * rng.chisquare(2 * k, size=f.size) / (2 * k))
         values[0] = 1e-30
         fit = fit_psd(make_psd(f, values, segment_count=k))
 
@@ -306,15 +287,18 @@ class TestFitNoisyRecovery:
 class TestFitValidation:
     def small_psd(self):
         f = model_grid()
-        return make_psd(f, psd_model(f, 1e-4, 1.8e5, 3e3))
+        return make_psd(f, psd_model(f, 1e-4, 1.8e5, 3e3, sample_rate=FS))
 
     def test_rejects_unknown_noise_floor_mode(self):
         with pytest.raises(DomainError, match="noise_floor"):
             fit_psd(self.small_psd(), noise_floor="subtract")
 
-    def test_rejects_unknown_weighting(self):
-        with pytest.raises(DomainError, match="weighting"):
-            fit_psd(self.small_psd(), weighting="inverse")
+    @pytest.mark.parametrize("dt", [0.0, -1.0e-6])
+    def test_rejects_a_psd_without_a_sampling_step(self, dt):
+        f = model_grid()
+        psd = make_psd(f, psd_model(f, 1e-4, 1.8e5, 3e3, sample_rate=FS), dt=dt)
+        with pytest.raises(DomainError, match="dt"):
+            fit_psd(psd)
 
     def test_rejects_inverted_band(self):
         with pytest.raises(DomainError, match="fit_band"):
@@ -327,7 +311,7 @@ class TestFitValidation:
 
     def test_rejects_non_positive_values_in_band(self):
         f = model_grid()
-        values = psd_model(f, 1e-4, 1.8e5, 3e3)
+        values = psd_model(f, 1e-4, 1.8e5, 3e3, sample_rate=FS)
         values[100] = 0.0
         with pytest.raises(EstimationError, match="positive"):
             fit_psd(make_psd(f, values))
