@@ -231,12 +231,8 @@ def cmd_simulate(args) -> int:
 def cmd_psd(args) -> int:
     keys = _keys(welch_psd)
     cfg = _config(args, keys, input_key="trace")
-    cfg["trace"] = read_trace(cfg["trace"])
     axis = cfg.setdefault("axis", keys["axis"].default)
-    if axis not in cfg["trace"].signals:
-        raise ConfigError(
-            f"unknown axis {axis!r}; the trace holds {', '.join(sorted(cfg['trace'].signals))}"
-        )
+    cfg["trace"] = read_trace(cfg["trace"], axes=[axis])
     psd = welch_psd(**_kwargs(cfg, keys))
     path = _out_file(args, f"psd_{axis}.csv")
     write_psd(psd, path)

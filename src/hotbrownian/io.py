@@ -2,8 +2,10 @@
 
 Arrays go to CSV with 17 significant digits (bit-exact float64 round
 trips); scalars and provenance go to JSON sidecars named after the CSV
-with a ``.json`` extension.  Campaign reports serialize to one JSON
-document plus one CSV per figure-ready table, named by content.
+with a ``.json`` extension.  :func:`read_trace` parses only the axes the
+caller asks for, so ``hotbrownian psd`` converts one column of a trace.
+Campaign reports serialize to one JSON document plus one CSV per
+figure-ready table, named by content.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ __all__ = [
     "write_cylinder_k_csv",
 ]
 
-_FMT = "%.17g"                           # shortest exact float64 text form
+_FMT = "%.17g"               # fixed 17 significant digits: exact for float64
+_BLOCK_ROWS = 16384          # rows per % call; larger blocks add to peak memory
 
 
 def _sidecar(path: Path) -> Path:
@@ -61,10 +64,19 @@ def _dump_json(payload: dict, path: Path) -> None:
 
 
 def _write_columns(path, header: str, columns: list, meta: dict) -> Path:
-    """Write ``columns`` as CSV under ``header`` and ``meta`` as its sidecar."""
+    """Write ``columns`` as CSV under ``header`` and ``meta`` as its sidecar.
+
+    The text is that of ``np.savetxt(path, np.column_stack(columns),
+    delimiter=",", header=header, comments="", fmt=_FMT)``, formatted a
+    block of rows at a time without stacking all columns at once.
+    """
     path = Path(path)
-    np.savetxt(path, np.column_stack(columns), delimiter=",",
-               header=header, comments="", fmt=_FMT)
+    row = ",".join([_FMT] * len(columns)) + "\n"
+    with path.open("w") as handle:
+        handle.write(header + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
     _dump_json(meta, _sidecar(path))
     return _sidecar(path)
 
@@ -116,13 +128,30 @@ def write_trace(trace: TimeTrace, path) -> Path:
     )
 
 
-def read_trace(path) -> TimeTrace:
-    """Load a trace written by :func:`write_trace`."""
+def read_trace(path, axes: Sequence[str] | None = None) -> TimeTrace:
+    """Load a trace written by :func:`write_trace`: every axis, or only ``axes``.
+
+    Only the requested voltage columns are converted to floats; ``t_s``
+    is never parsed, since ``dt`` comes from the sidecar.  Every row must
+    still hold one field per column.  Trade-off: non-numeric text in a
+    column that was not requested is not refused by a subset read; a full
+    read refuses it.  An axis the trace does not hold is a ConfigError.
+    """
     with _malformed(path):
-        data, meta = _read_columns(path)
+        meta = json.loads(_sidecar(Path(path)).read_text())
+        labels = list(meta["axes"])
+    wanted = labels if axes is None else list(axes)
+    for axis in wanted:
+        if axis not in labels:
+            raise ConfigError(
+                f"unknown axis {axis!r}; the trace holds {', '.join(sorted(labels))}"
+            )
+    with _malformed(path):
+        fields = [("t_s", "S1")] + [(f"V{k}", "f8" if k in wanted else "S1") for k in labels]
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1, dtype=fields)
         return TimeTrace(
             dt=float(meta["dt_s"]),
-            signals={label: data[:, 1 + i] for i, label in enumerate(meta["axes"])},
+            signals={k: np.ascontiguousarray(data[f"V{k}"]) for k in labels if k in wanted},
             metadata={
                 "laser_power_mw": meta.get("power_mW"),
                 "pressure_hpa": meta.get("pressure_hPa"),

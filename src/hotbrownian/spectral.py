@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import scipy.fft
 import scipy.signal
 
 from ._leastsq import least_squares_gn
@@ -105,19 +104,22 @@ def welch_psd(
 
     # Same estimate as scipy.signal.welch(detrend=False, scaling="density")
     # to rounding, but with one rfft call per block of segments instead of
-    # one per segment.
+    # one per segment.  numpy's rfft gave the same bits as scipy.fft's
+    # (numpy 2.4, scipy 1.17) but caches no plan: scipy.fft keeps one per
+    # length (131 kB at 16384), allocated above the caller's trace, which
+    # then kept the trace's heap space from being trimmed once freed.
     win = scipy.signal.get_window(window, nperseg)
     segments = np.lib.stride_tricks.sliding_window_view(signal, nperseg)[::step]
     block = max(1, _WELCH_BLOCK_SAMPLES // nperseg)
     values = np.zeros(nperseg // 2 + 1)
     for start in range(0, n_segments, block):
-        spectrum = scipy.fft.rfft(segments[start:start + block] * win, axis=-1)
+        spectrum = np.fft.rfft(segments[start:start + block] * win, axis=-1)
         power = spectrum.real**2
         power += spectrum.imag**2
         values += power.sum(axis=0)
     values *= 1.0 / (n_segments * (win * win).sum() / dt)
     values[1:(nperseg + 1) // 2] *= 2.0   # fold negative frequencies, not DC/Nyquist
-    freqs = scipy.fft.rfftfreq(nperseg, dt)
+    freqs = np.fft.rfftfreq(nperseg, dt)
     if n_segments < 2:
         warnings.warn(
             f"PSD averaged over only {n_segments} segment(s); "

@@ -29,6 +29,7 @@ from hotbrownian import (
     write_report,
     write_trace,
 )
+from hotbrownian.io import _BLOCK_ROWS
 from hotbrownian.twobath import cylinder_k, sphere_k
 
 
@@ -109,6 +110,69 @@ class TestTraceIo:
         path.write_text("\n".join(rows) + "\n")          # drop the Vy column
         with pytest.raises(ConfigError, match="trace.csv"):
             read_trace(path)
+
+    def test_subset_read_is_bit_identical_to_the_full_read(self, small_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(small_trace, path)
+        full, subset = read_trace(path), read_trace(path, axes=["y"])
+        assert list(subset.signals) == ["y"]
+        assert subset.dt == full.dt and subset.metadata == full.metadata
+        assert subset.signals["y"].flags.c_contiguous
+        np.testing.assert_array_equal(subset.signals["y"].view(np.uint64),
+                                      full.signals["y"].view(np.uint64))
+
+    @pytest.mark.parametrize("edit, axes", [
+        (lambda fields: fields[:-1], ["x"]),
+        (lambda fields: fields + ["0.5"], ["x"]),
+        (lambda fields: fields[:2] + ["abc"], ["y"]),
+        (lambda fields: fields[:1] + ["abc"] + fields[2:], None),
+    ], ids=["short_row", "long_row", "text_in_requested_axis", "text_in_full_read"])
+    def test_malformed_row_is_a_config_error_naming_the_file(
+        self, edit, axes, small_trace, tmp_path
+    ):
+        path = tmp_path / "trace.csv"
+        write_trace(small_trace, path)
+        lines = path.read_text().splitlines()
+        lines[7] = ",".join(edit(lines[7].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="trace.csv"):
+            read_trace(path, axes=axes)
+
+    def test_unknown_axis_is_a_config_error_naming_the_trace_axes(self, small_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(small_trace, path)
+        with pytest.raises(ConfigError, match="'z'; the trace holds x, y"):
+            read_trace(path, axes=["x", "z"])
+
+
+class TestBlockWriter:
+    """The block-formatted writer emits the bytes np.savetxt would."""
+
+    @staticmethod
+    def write(kind, n, path):
+        """Write an n-row file of ``kind``; return its header and columns."""
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n) * 1e-3, rng.exponential(1e4, n)
+        if kind == "trace":
+            trace = hb.TimeTrace(dt=5e-7, signals={"x": a, "y": b})
+            write_trace(trace, path)
+            return "t_s,Vx,Vy", [trace.times(), a, b]
+        f = np.linspace(2.87e9 - 3e7, 2.87e9 + 3e7, n)
+        if kind == "psd":
+            write_psd(hb.Psd(frequencies=f, values=b, segment_count=3,
+                             window_name="hann", dt=5e-7), path)
+            return "f_Hz,S", [f, b]
+        write_esr(hb.EsrSpectrum(microwave_frequencies=f, pl_counts=b), path)
+        return "f_Hz,counts", [f, b]
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("kind", ["trace", "psd", "esr"])
+    def test_bytes_match_savetxt(self, kind, n, tmp_path):
+        header, columns = self.write(kind, n, tmp_path / "new.csv")
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
+                   header=header, comments="", fmt="%.17g")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # =============================================================================
