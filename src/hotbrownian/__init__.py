@@ -64,7 +64,6 @@ from .simulate import (
     TimeTrace,
     simulate_esr,
     simulate_trace,
-    simulate_trace_splitting,
 )
 from .spectral import Psd, PsdFit, fit_psd, psd_model, welch_psd
 from .thermometry import (
@@ -113,7 +112,7 @@ __all__ = [
     "cylinder_drag", "cylinder_k", "sphere_k",
     # simulation
     "AnomalyInjection", "SimulationConfig", "TimeTrace",
-    "simulate_trace", "simulate_trace_splitting", "simulate_esr",
+    "simulate_trace", "simulate_esr",
     # spectral
     "Psd", "PsdFit", "welch_psd", "psd_model", "fit_psd",
     # thermometry

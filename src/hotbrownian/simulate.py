@@ -11,8 +11,9 @@ Sampling exact in dt: (q, v) is a linear Gauss-Markov process, so the
 one-step transition matrix and process-noise covariance follow from a
 single matrix exponential (Van Loan block construction).  Positions then
 obey a scalar AR(2) recursion, evaluated with a linear filter — no
-small-dt error at any sampling rate.  A BAOAB splitting integrator is
-kept as an independent cross-check with ordinary O(dt^2) accuracy.
+small-dt error at any sampling rate.  The tests check the samples
+against the exact autocovariance of the time-lapsed oscillator
+(Norrelykke & Flyvbjerg, Phys. Rev. E 83, 041103, 2011).
 
 Detection maps position to a detector voltage V = gain * P * q: the
 measured signal grows with laser power both through the trap stiffness
@@ -40,7 +41,6 @@ __all__ = [
     "SimulationConfig",
     "TimeTrace",
     "simulate_trace",
-    "simulate_trace_splitting",
     "simulate_esr",
 ]
 
@@ -260,47 +260,18 @@ def _axis_truth(config: SimulationConfig, axis: TrapAxis) -> dict:
     }
 
 
-def _sample_baoab(
-    omega0: float,
-    gamma: float,
-    t_eff: float,
-    mass: float,
-    dt: float,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Position samples of the BAOAB splitting integrator, O(dt^2) accurate.
+def simulate_trace(config: SimulationConfig) -> TimeTrace:
+    """Simulate detector voltages for every configured axis.
 
-    Same arguments and the same order of random draws as
-    :func:`_sample_positions`: two for the stationary start, then one
-    velocity kick per step.
-    """
-    k_b = CONSTANTS.k_B
-    omega_sq = omega0**2
-    c1 = math.exp(-gamma * dt)
-    c2 = math.sqrt(k_b * t_eff / mass * (1.0 - c1 * c1))
+    Supports spheres only — the anisotropic cylinder couples rotation
+    and translation and needs its own treatment.  Each axis gets its own
+    child seed; its generator feeds the position sampler first and the
+    detector noise after.
 
-    q = math.sqrt(k_b * t_eff / (mass * omega_sq)) * rng.standard_normal()
-    v = math.sqrt(k_b * t_eff / mass) * rng.standard_normal()
-    kicks = rng.standard_normal(n - 1)
-    out = np.empty(n)
-    out[0] = q
-    half_dt = 0.5 * dt
-    for k in range(1, n):
-        v -= half_dt * omega_sq * q
-        q += half_dt * v
-        v = c1 * v + c2 * kicks[k - 1]
-        q += half_dt * v
-        v -= half_dt * omega_sq * q
-        out[k] = q
-    return out
-
-
-def _simulate_axes(config: SimulationConfig, sample) -> TimeTrace:
-    """Detector voltages of every axis, with positions drawn by ``sample``.
-
-    Each axis gets its own child seed; its generator feeds the position
-    sampler first and the detector noise after.
+    Returns
+    -------
+    TimeTrace
+        Signals per axis with ground-truth parameters in ``metadata``.
     """
     if not isinstance(config.particle.shape, Sphere):
         raise ConfigError("trace simulation supports spherical particles only")
@@ -314,7 +285,7 @@ def _simulate_axes(config: SimulationConfig, sample) -> TimeTrace:
     for axis, child in zip(config.axes, children):
         rng = np.random.default_rng(child)
         params = _axis_truth(config, axis)
-        q = sample(
+        q = _sample_positions(
             params["omega0"],
             params["gamma_rad_s"],
             params["t_eff"],
@@ -344,32 +315,6 @@ def _simulate_axes(config: SimulationConfig, sample) -> TimeTrace:
             "true_parameters": truth,
         },
     )
-
-
-def simulate_trace(config: SimulationConfig) -> TimeTrace:
-    """Simulate detector voltages for every configured axis.
-
-    Supports spheres only — the anisotropic cylinder couples rotation
-    and translation and needs its own treatment.
-
-    Returns
-    -------
-    TimeTrace
-        Signals per axis with ground-truth parameters in ``metadata``.
-    """
-    return _simulate_axes(config, _sample_positions)
-
-
-def simulate_trace_splitting(config: SimulationConfig) -> TimeTrace:
-    """BAOAB splitting integrator — independent cross-check of
-    :func:`simulate_trace`.
-
-    Second-order accurate in dt rather than exact; agreement of its
-    spectra with the exact sampler validates both discretizations.
-    """
-    trace = _simulate_axes(config, _sample_baoab)
-    trace.metadata["integrator"] = "baoab"
-    return trace
 
 
 # =============================================================================

@@ -70,7 +70,8 @@ def welch_psd(
     overlap_fraction:
         Fractional segment overlap in [0, 1).
     window:
-        Window name understood by :func:`scipy.signal.get_window`.
+        Window name understood by :func:`scipy.signal.get_window`; any
+        other raises :class:`DomainError`.
 
     Notes
     -----
@@ -108,7 +109,10 @@ def welch_psd(
     # (numpy 2.4, scipy 1.17) but caches no plan: scipy.fft keeps one per
     # length (131 kB at 16384), allocated above the caller's trace, which
     # then kept the trace's heap space from being trimmed once freed.
-    win = scipy.signal.get_window(window, nperseg)
+    try:
+        win = scipy.signal.get_window(window, nperseg)
+    except ValueError as exc:
+        raise DomainError(f"invalid window {window!r}: {exc}") from exc
     segments = np.lib.stride_tricks.sliding_window_view(signal, nperseg)[::step]
     block = max(1, _WELCH_BLOCK_SAMPLES // nperseg)
     values = np.zeros(nperseg // 2 + 1)

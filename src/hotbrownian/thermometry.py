@@ -226,7 +226,7 @@ def _esr_starts(f: np.ndarray, counts: np.ndarray):
 
 
 def fit_esr(spectrum: EsrSpectrum) -> EsrFit:
-    """Fit the double-dip model to an ESR sweep.
+    """Fit the double-dip model to an ESR sweep, in any frequency order.
 
     Falls back to a single dip (E = 0) when the double fit does not
     converge or collapses its splitting below one frequency step.
@@ -241,6 +241,9 @@ def fit_esr(spectrum: EsrSpectrum) -> EsrFit:
         raise DomainError("ESR spectrum contains non-finite values")
     if np.any(counts < 0):
         raise DomainError("photon counts must be >= 0")
+    # The start values and the step df read the sweep in ascending order.
+    order = np.argsort(f, kind="stable")
+    f, counts = f[order], counts[order]
 
     baseline, contrast0, center, half_span = _esr_starts(f, counts)
     df = float(f[1] - f[0])

@@ -7,7 +7,7 @@ import pytest
 
 import hotbrownian as hb
 from hotbrownian import AnomalyInjection, ConfigError, SimulationConfig
-from hotbrownian.simulate import TimeTrace, simulate_trace, simulate_trace_splitting
+from hotbrownian.simulate import TimeTrace, simulate_trace
 from hotbrownian.twobath import internal_temperature, sphere_drag, two_bath_tcom
 
 K_B = hb.CONSTANTS.k_B
@@ -92,8 +92,6 @@ class TestConfigValidation:
         rod = hb.ParticleModel(shape=hb.Cylinder(radius=40e-9, length=80e-9), density=3500.0)
         with pytest.raises(ConfigError, match="spher"):
             simulate_trace(base_config(axes_pair, rod, heating17, gas45))
-        with pytest.raises(ConfigError, match="spher"):
-            simulate_trace_splitting(base_config(axes_pair, rod, heating17, gas45))
 
     def test_zero_power_has_no_restoring_force(self, axes_pair, sphere_particle, heating17, gas45):
         cfg = base_config(axes_pair, sphere_particle, heating17, gas45, laser_power=0.0)
@@ -188,44 +186,35 @@ class TestTraceStatistics:
                                             anomaly_injection=anomaly))
         np.testing.assert_array_equal(bumped.signals["x"], pair.signals["x"])
 
-    def test_equipartition_of_the_exact_sampler(
+    def test_exact_sampler_matches_the_sampled_autocovariance(
         self, axes_pair, sphere_particle, heating17, gas45
     ):
+        # Sampling at dt leaves the autocovariance of the continuous
+        # oscillator unchanged at the sample lags (Norrelykke & Flyvbjerg,
+        # Phys. Rev. E 83, 041103, 2011):
+        #   c(tau) = var e^{-G tau/2} (cos w1 tau + G/(2 w1) sin w1 tau),
+        # w1 = sqrt(w0^2 - G^2/4).  Lags: the first steps, fractions of a
+        # period and multiples of the damping time 1/G.
         cfg = base_config(axes_pair, sphere_particle, heating17, gas45,
                           duration=0.5, rng_seed=7)
         trace = simulate_trace(cfg)
         for label in ("x", "y"):
             p = trace.metadata["true_parameters"][label]
-            var_expected = (
-                p["detection_gain_v_per_m"] ** 2
-                * K_B * p["t_eff"] / (p["mass_kg"] * p["omega0"] ** 2)
-            )
-            assert np.var(trace.signals[label]) == pytest.approx(var_expected, rel=0.03)
-
-    def test_splitting_integrator_agrees_with_exact_sampler(
-        self, axes_pair, sphere_particle, heating17, gas45
-    ):
-        # Independent discretization, same stationary distribution.
-        cfg = base_config(axes_pair[:1], sphere_particle, heating17, gas45,
-                          duration=0.5, rng_seed=7)
-        p = simulate_trace(cfg).metadata["true_parameters"]["x"]
-        var_expected = (
-            p["detection_gain_v_per_m"] ** 2
-            * K_B * p["t_eff"] / (p["mass_kg"] * p["omega0"] ** 2)
-        )
-        baoab = simulate_trace_splitting(cfg)
-        assert baoab.metadata["integrator"] == "baoab"
-        assert np.var(baoab.signals["x"]) == pytest.approx(var_expected, rel=0.05)
-
-    def test_splitting_integrator_shares_the_trace_metadata(
-        self, axes_pair, sphere_particle, heating17, gas45
-    ):
-        cfg = base_config(axes_pair, sphere_particle, heating17, gas45,
-                          measurement_noise_psd=1e-18)
-        exact = simulate_trace(cfg).metadata
-        baoab = simulate_trace_splitting(cfg).metadata
-        for key in ("true_parameters", "seed", "laser_power_mw", "pressure_hpa"):
-            assert baoab[key] == exact[key]
+            w0, g = p["omega0"], p["gamma_rad_s"]
+            var = (p["detection_gain_v_per_m"] ** 2
+                   * K_B * p["t_eff"] / (p["mass_kg"] * w0**2))
+            w1 = math.sqrt(w0**2 - g**2 / 4)
+            period = 2 * math.pi / w1 / cfg.dt
+            damping = 1 / g / cfg.dt
+            lags = sorted({0, 1, 2, *(round(f * period) for f in (0.25, 0.5, 1.0)),
+                           *(round(f * damping) for f in (1, 2, 3))})
+            s = trace.signals[label] - trace.signals[label].mean()
+            for k in lags:
+                tau = k * cfg.dt
+                expected = var * math.exp(-g * tau / 2) * (
+                    math.cos(w1 * tau) + g / (2 * w1) * math.sin(w1 * tau))
+                measured = np.dot(s[:s.size - k], s[k:]) / (s.size - k)
+                assert abs(measured - expected) < 0.03 * var, (label, k)
 
     def test_measurement_noise_adds_the_configured_floor(
         self, axes_pair, sphere_particle, heating17, gas45

@@ -197,6 +197,12 @@ class TestFitEsr:
         assert fit.n_points == 301
         assert fit.fit_residual < 1e-10
 
+    def test_descending_sweep_fits_like_the_ascending_one(self, heating17):
+        sweep = self.resolved_sweep(heating17, noise=1.0, seed=42, power=90.0)
+        reversed_sweep = _bare_spectrum(sweep.microwave_frequencies[::-1],
+                                        sweep.pl_counts[::-1])
+        assert fit_esr(reversed_sweep) == fit_esr(sweep)
+
     def test_overlapping_dips_still_resolve_noise_free(self, heating17):
         # Strain below the linewidth: one merged hump, but the noise-free
         # shape still pins both centers.
