@@ -80,7 +80,6 @@ from .thermometry import (
 )
 from .twobath import (
     SPHERE_COUPLING_PER_ALPHA,
-    BathPair,
     CylinderDrag,
     HeatingLaw,
     alpha_from_k,
@@ -88,7 +87,6 @@ from .twobath import (
     cylinder_k,
     internal_temperature,
     k_from_alpha,
-    make_bath_pair,
     sphere_drag,
     sphere_k,
     two_bath_tcom,
@@ -106,10 +104,10 @@ __all__ = [
     "HotBrownianError", "DomainError", "ConfigError", "CalibrationError",
     "EstimationError", "AccommodationWarning",
     # two-bath physics
-    "SPHERE_COUPLING_PER_ALPHA", "HeatingLaw", "BathPair", "CylinderDrag",
+    "SPHERE_COUPLING_PER_ALPHA", "HeatingLaw", "CylinderDrag",
     "internal_temperature", "two_bath_tcom", "two_bath_tcom_linearized",
-    "alpha_from_k", "k_from_alpha", "make_bath_pair", "sphere_drag",
-    "cylinder_drag", "cylinder_k", "sphere_k",
+    "alpha_from_k", "k_from_alpha", "sphere_drag", "cylinder_drag",
+    "cylinder_k", "sphere_k",
     # simulation
     "AnomalyInjection", "SimulationConfig", "TimeTrace",
     "simulate_trace", "simulate_esr",

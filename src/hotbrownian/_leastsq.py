@@ -59,6 +59,16 @@ class GnResult:
         return np.sqrt(np.clip(var, 0.0, None))
 
 
+def usable_sigma(sigma: Sequence[float | None]) -> np.ndarray | None:
+    """Per-point sigmas to weight a line fit by, or None for an unweighted fit.
+
+    A fit is weighted only when every point has a finite, positive sigma;
+    one missing (None), NaN, zero or infinite entry makes it unweighted.
+    """
+    sigma = np.asarray(sigma, dtype=float)           # None -> NaN
+    return sigma if np.all(np.isfinite(sigma) & (sigma > 0)) else None
+
+
 def line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray | None = None):
     """Straight-line fit y = slope*x + intercept; returns (slope, intercept, cov).
 

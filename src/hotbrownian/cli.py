@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import Cylinder, GasEnvironment, ParticleModel, Sphere, mw_to_w
 from .errors import CalibrationError, ConfigError, DomainError, EstimationError
-from .io import (_malformed, load_zfs_law, read_esr, read_psd, read_trace,
+from .io import (_cylinder_row, _malformed, load_zfs_law, read_esr, read_psd, read_trace,
                  write_cylinder_k_csv, write_psd, write_report, write_trace)
 from .pipeline import (CampaignConfig, EnergyPoint, PowerSweepPoint, calibrate,
                        extract_k, run_campaign)
@@ -40,7 +40,6 @@ from .simulate import SimulationConfig, simulate_trace
 from .spectral import PsdFit, fit_psd, welch_psd
 from .thermometry import (TemperaturePoint, ZfsLaw, default_zfs_law, fit_esr,
                           temperature_from_esr)
-from .twobath import cylinder_drag, cylinder_k, sphere_k
 
 __all__ = ["main"]
 
@@ -335,14 +334,7 @@ def cmd_cylinder_k(args) -> int:
     length = cfg.get("length_m", 2.0 * radius)
     particle = ParticleModel(shape=Cylinder(radius=radius, length=length),
                              **_kwargs(cfg, {"density": table["density"]}))
-    drag = cylinder_drag(particle, gas)
-    _print_json({
-        "length_over_diameter": length / (2.0 * radius),
-        "g": drag.anisotropy_g,
-        "k_parallel": cylinder_k(particle, gas, "parallel", grid),
-        "k_perpendicular": cylinder_k(particle, gas, "perpendicular", grid),
-        "k_sphere": sphere_k(t0=gas.temperature, delta_t_grid=grid),
-    })
+    _print_json(_cylinder_row(particle, length / (2.0 * radius), gas, grid))
     return 0
 
 

@@ -325,6 +325,27 @@ def write_report(report: CampaignReport, outdir, format: str = "csv") -> Path:
     return report_path
 
 
+_CYLINDER_COLUMNS = ["length_over_diameter", "g", "k_parallel", "k_perpendicular", "k_sphere"]
+
+
+def _cylinder_row(
+    particle: ParticleModel,
+    aspect: float,
+    gas: GasEnvironment,
+    delta_t_grid: Sequence[float] | None,
+) -> dict:
+    """One cylinder's entry of the coupling table: its aspect ratio as
+    given, the drag anisotropy factor g, the slope-procedure coupling
+    constants of both axes, and the sphere value from the same procedure."""
+    return dict(zip(_CYLINDER_COLUMNS, (
+        float(aspect),
+        float(cylinder_drag(particle, gas).anisotropy_g),
+        float(cylinder_k(particle, gas, "parallel", delta_t_grid)),
+        float(cylinder_k(particle, gas, "perpendicular", delta_t_grid)),
+        float(sphere_k(t0=gas.temperature, delta_t_grid=delta_t_grid)),
+    )))
+
+
 def write_cylinder_k_csv(
     path,
     radius: float,
@@ -344,24 +365,13 @@ def write_cylinder_k_csv(
     path = Path(path)
     if not path.suffix:
         path = path / "cylinder_coupling_vs_anisotropy.csv"
-    k_sphere = sphere_k(t0=gas.temperature, delta_t_grid=delta_t_grid)
-    rows = []
-    for x in aspect_ratios:
-        particle = ParticleModel(
-            shape=Cylinder(radius=radius, length=2.0 * radius * float(x)),
-            density=density,
+    rows = [
+        _cylinder_row(
+            ParticleModel(shape=Cylinder(radius=radius, length=2.0 * radius * float(x)),
+                          density=density),
+            x, gas, delta_t_grid,
         )
-        drag = cylinder_drag(particle, gas)
-        rows.append([
-            float(x),
-            float(drag.anisotropy_g),
-            float(cylinder_k(particle, gas, "parallel", delta_t_grid)),
-            float(cylinder_k(particle, gas, "perpendicular", delta_t_grid)),
-            float(k_sphere),
-        ])
-    _write_csv(
-        path,
-        ["length_over_diameter", "g", "k_parallel", "k_perpendicular", "k_sphere"],
-        rows,
-    )
+        for x in aspect_ratios
+    ]
+    _write_csv(path, _CYLINDER_COLUMNS, [list(row.values()) for row in rows])
     return path

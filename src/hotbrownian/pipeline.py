@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._leastsq import line_fit
+from ._leastsq import line_fit, usable_sigma
 from .core import CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis, mw_to_w
 from .errors import CalibrationError, ConfigError, DomainError, EstimationError, HotBrownianError
 from .simulate import AnomalyInjection, SimulationConfig, simulate_esr, simulate_trace
@@ -78,10 +78,6 @@ class PowerSweepPoint:
     pressure_hpa: float
     fits: dict                           # axis label -> PsdFit
 
-    def normalized_area(self, axis: str) -> float:
-        """A/f_q^2 of one axis [signal^2/Hz^2] — proportional to energy."""
-        return self.fits[axis].normalized_area
-
 
 @dataclass
 class CalibrationResult:
@@ -111,9 +107,10 @@ def calibrate(
     Raises
     ------
     CalibrationError
-        With fewer than three distinct powers, mixed pressures, a
-        non-positive zero-power intercept, or an intercept uncertainty
-        as large as the intercept itself.
+        With fewer than three distinct powers, mixed pressures, points
+        that do not all carry the same axes, a non-positive zero-power
+        intercept, or an intercept uncertainty as large as the intercept
+        itself.
     """
     if not sweep:
         raise CalibrationError("empty power sweep")
@@ -129,13 +126,19 @@ def calibrate(
             f"need >= 3 distinct laser powers, got {np.unique(powers).size}"
         )
 
-    axes = sorted(sweep[0].fits.keys())
+    axis_sets = {tuple(sorted(pt.fits)) for pt in sweep}
+    if len(axis_sets) != 1:
+        named = " vs ".join("(" + ", ".join(map(str, a)) + ")" for a in sorted(axis_sets))
+        raise CalibrationError(
+            f"sweep points carry different axes {named}; every point needs "
+            "a fit of every calibrated axis"
+        )
+    (axes,) = axis_sets
     intercept, intercept_sigma, slope, slope_sigma, c_calib = {}, {}, {}, {}, {}
     for axis in axes:
-        areas = np.array([pt.normalized_area(axis) for pt in sweep])
-        sigmas = np.array([pt.fits[axis].normalized_area_sigma for pt in sweep])
-        use_sigma = sigmas if np.all(np.isfinite(sigmas) & (sigmas > 0)) else None
-        b, a0, cov = line_fit(powers, areas, use_sigma)
+        areas = np.array([pt.fits[axis].normalized_area for pt in sweep])
+        sigmas = [pt.fits[axis].normalized_area_sigma for pt in sweep]
+        b, a0, cov = line_fit(powers, areas, usable_sigma(sigmas))
         sig_a0 = math.sqrt(max(cov[1, 1], 0.0))
         if a0 <= 0:
             raise CalibrationError(
@@ -178,7 +181,7 @@ def com_energy(point: PowerSweepPoint, calib: CalibrationResult, axis: str) -> f
             f"point at {point.pressure_hpa} hPa cannot use a calibration "
             f"made at {calib.pressure_hpa} hPa"
         )
-    return calib.c_calib[axis] * point.normalized_area(axis)
+    return calib.c_calib[axis] * point.fits[axis].normalized_area
 
 
 # =============================================================================
@@ -232,22 +235,9 @@ def extract_k(
         raise EstimationError("energy and temperature series sample different powers")
 
     energies = np.array([pt.energy for pt in e_sorted])
-    e_sig = [pt.sigma for pt in e_sorted]
-    e_sigma = (
-        np.array(e_sig, dtype=float)
-        if all(s is not None and s > 0 for s in e_sig)
-        else None
-    )
     temps = np.array([pt.temperature for pt in t_sorted])
-    t_sig = [pt.sigma for pt in t_sorted]
-    t_sigma = (
-        np.array(t_sig, dtype=float)
-        if all(s is not None and s > 0 for s in t_sig)
-        else None
-    )
-
-    slope_e, _, cov_e = line_fit(p_e, energies, e_sigma)
-    slope_t, _, cov_t = line_fit(p_t, temps, t_sigma)
+    slope_e, _, cov_e = line_fit(p_e, energies, usable_sigma([pt.sigma for pt in e_sorted]))
+    slope_t, _, cov_t = line_fit(p_t, temps, usable_sigma([pt.sigma for pt in t_sorted]))
     sig_e = math.sqrt(max(cov_e[0, 0], 0.0))
     sig_t = math.sqrt(max(cov_t[0, 0], 0.0))
     if abs(slope_t) <= 2.0 * sig_t:
@@ -608,10 +598,16 @@ def _estimate(
             continue
         calibrations[pressure] = calib
 
-        # Epstein radius from the mean linewidth of the first axis.
-        gammas = [pt.fits[labels[0]].gamma for pt in sweep_p]
+        # Epstein radius from the zero-power linewidth of the first axis:
+        # hot emerging gas adds drag at every heated power.
+        fits = [pt.fits[labels[0]] for pt in sweep_p]
+        _, gamma0, _ = line_fit(
+            np.array([pt.laser_power for pt in sweep_p]),
+            np.array([fit.gamma for fit in fits]),
+            usable_sigma([fit.uncertainties.get("gamma") for fit in fits]),
+        )
         radius[pressure] = hydrodynamic_radius(
-            float(np.mean(gammas)),
+            gamma0,
             pressure,
             gases[pressure],
             particle_density=config.particle.density,

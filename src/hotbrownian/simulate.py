@@ -34,7 +34,8 @@ from .core import (CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis,
                    trap_frequency, w_to_mw)
 from .errors import ConfigError, DomainError
 from .thermometry import EsrSpectrum, ZfsLaw
-from .twobath import HeatingLaw, internal_temperature, make_bath_pair, sphere_drag
+from .twobath import (_SPHERE_BATH_RATIO, HeatingLaw, _check_alpha, internal_temperature,
+                      sphere_drag)
 
 __all__ = [
     "AnomalyInjection",
@@ -227,15 +228,16 @@ def _axis_truth(config: SimulationConfig, axis: TrapAxis) -> dict:
     power_mw = w_to_mw(config.laser_power)
     t0 = config.gas.temperature
     t_int = internal_temperature(config.heating, power_mw, config.gas.pressure)
-    baths = make_bath_pair(
-        t0,
-        t_int,
-        config.alpha_c,
-        sphere_drag(config.particle, config.gas,
-                    emerging_temperature=t0 + config.alpha_c * (t_int - t0)),
-    )
-    t_com = baths.weighted_temperature
-    gamma = baths.gamma_total
+    _check_alpha(config.alpha_c)
+    # Two-bath split of the drag: the emerging/impinging friction ratio is
+    # (pi/8)*sqrt(T_em/T0), and T_com is the friction-weighted mean of the
+    # bath temperatures (equal to twobath.two_bath_tcom to rounding).
+    t_em = t0 + config.alpha_c * (t_int - t0)
+    drag = sphere_drag(config.particle, config.gas, emerging_temperature=t_em)
+    g_imp = drag / (1.0 + _SPHERE_BATH_RATIO * math.sqrt(t_em / t0))
+    g_em = drag - g_imp
+    gamma = g_imp + g_em
+    t_com = (g_imp * t0 + g_em * t_em) / gamma
 
     t_eff = t_com
     anomaly = config.anomaly_injection

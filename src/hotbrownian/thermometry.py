@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._leastsq import least_squares_gn, line_fit
+from ._leastsq import least_squares_gn, line_fit, usable_sigma
 from .core import CONSTANTS
 from .errors import DomainError, EstimationError
 
@@ -400,11 +400,7 @@ def fit_heating_law(
     if np.ptp(regressor) == 0.0:
         raise EstimationError("power/pressure ratio is constant; slope is unidentifiable")
 
-    sigmas = [pt.sigma for pt in points]
-    weighted = all(s is not None and s > 0 for s in sigmas)
-    kappa, t0_fit, cov = line_fit(
-        regressor, temps, np.asarray(sigmas, dtype=float) if weighted else None
-    )
+    kappa, t0_fit, cov = line_fit(regressor, temps, usable_sigma([pt.sigma for pt in points]))
     return HeatingFit(
         kappa_heat=kappa,
         kappa_sigma=float(np.sqrt(cov[0, 0])),

@@ -41,14 +41,12 @@ from .errors import AccommodationWarning, DomainError, EstimationError
 __all__ = [
     "SPHERE_COUPLING_PER_ALPHA",
     "HeatingLaw",
-    "BathPair",
     "CylinderDrag",
     "internal_temperature",
     "two_bath_tcom",
     "two_bath_tcom_linearized",
     "alpha_from_k",
     "k_from_alpha",
-    "make_bath_pair",
     "sphere_drag",
     "cylinder_drag",
     "cylinder_k",
@@ -179,94 +177,11 @@ def alpha_from_k(K: float) -> float:
 
 
 # =============================================================================
-# Bath pair construction
-# =============================================================================
-
-@dataclass(frozen=True)
-class BathPair:
-    """The two effective gas baths felt by a hot particle.
-
-    ``gamma_impinging`` and ``gamma_emerging`` split the total friction;
-    the friction-weighted temperature of the pair reproduces the two-bath
-    CoM temperature by construction.
-    """
-
-    T_impinging: float                   # [K]
-    T_emerging: float                    # [K]
-    gamma_impinging: float               # [rad/s]
-    gamma_emerging: float                # [rad/s]
-
-    @property
-    def gamma_total(self) -> float:
-        """Total friction rate [rad/s]."""
-        return self.gamma_impinging + self.gamma_emerging
-
-    @property
-    def weighted_temperature(self) -> float:
-        """Friction-weighted bath temperature [K] — the CoM temperature."""
-        return (
-            self.gamma_impinging * self.T_impinging
-            + self.gamma_emerging * self.T_emerging
-        ) / self.gamma_total
-
-    @property
-    def effective_force_noise(self) -> float:
-        """Sum gamma_i * k_B * T_i [rad/s * J], the Langevin noise weight
-        per unit mass up to the conventional factor 2m."""
-        from .core import CONSTANTS
-
-        return CONSTANTS.k_B * (
-            self.gamma_impinging * self.T_impinging
-            + self.gamma_emerging * self.T_emerging
-        )
-
-
-def make_bath_pair(
-    T0: float, T_int: float, alpha_c: float, gamma_total: float
-) -> BathPair:
-    """Split a total friction rate into the impinging/emerging bath pair.
-
-    The emerging bath sits at T_em = T0 + alpha_c*(T_int - T0) and
-    carries the friction fraction fixed by
-    gamma_em/gamma_imp = (pi/8)*sqrt(T_em/T0) — the unique split whose
-    weighted temperature reproduces :func:`two_bath_tcom` identically.
-
-    Parameters
-    ----------
-    T0, T_int:
-        Ambient and internal (surface) temperatures [K].
-    alpha_c:
-        Accommodation coefficient.
-    gamma_total:
-        Total friction rate [rad/s] to be split, > 0.
-    """
-    if gamma_total <= 0:
-        raise DomainError(f"gamma_total must be > 0, got {gamma_total}")
-    if T0 <= 0:
-        raise DomainError(f"T0 must be > 0, got {T0}")
-    if T_int < T0:
-        raise DomainError(f"T_int must be >= T0, got T_int={T_int}, T0={T0}")
-    _check_alpha(alpha_c)
-    t_em = T0 + alpha_c * (T_int - T0)
-    ratio = _SPHERE_BATH_RATIO * math.sqrt(t_em / T0)   # gamma_em / gamma_imp
-    gamma_imp = gamma_total / (1.0 + ratio)
-    gamma_em = gamma_total - gamma_imp
-    return BathPair(
-        T_impinging=T0,
-        T_emerging=t_em,
-        gamma_impinging=gamma_imp,
-        gamma_emerging=gamma_em,
-    )
-
-
-# =============================================================================
 # Free-molecular drag: sphere
 # =============================================================================
 
 def _flux_factor(gas: GasEnvironment) -> float:
     """Kinetic flux prefactor c = p*sqrt(m_gas/(2*pi*k_B*T_gas)) [kg/(m^2*s)]."""
-    from .core import CONSTANTS
-
     return gas.pressure_pa * math.sqrt(
         gas.molecule_mass / (2.0 * math.pi * CONSTANTS.k_B * gas.temperature)
     )

@@ -121,6 +121,20 @@ class TestCalibrateCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("short_at", [0, -1])
+    def test_point_without_an_axis_exits_2(self, tmp_path, capsys, short_at):
+        # Every (power, repetition) point has x and y, but one lacks y.
+        rows = [
+            (45.0, axis, p, 0, 4.0e-9 + 2.5e-11 * p, 0.0, 5e4, 3e3)
+            for p in (20.0, 60.0, 100.0, 140.0) for axis in ("x", "y")
+        ]
+        del rows[1 if short_at == 0 else -1]
+        table = area_table(tmp_path / "areas.csv", rows)
+        code, out, err = run(capsys, "calibrate", table)
+        assert code == 2
+        assert out == ""
+        assert "different axes (x) vs (x, y)" in err
+
     def test_three_column_table_exits_3_naming_the_file(self, tmp_path, capsys):
         table = tmp_path / "areas.csv"
         table.write_text("pressure_hpa,axis,laser_power_mw\n45.0,x,20.0\n45.0,x,60.0\n")

@@ -1,5 +1,6 @@
 """Tests for calibration, K extraction, classification, and campaigns."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from hotbrownian import (
     hydrodynamic_radius,
     run_campaign,
 )
-from hotbrownian.pipeline import _pooled_mean
+from hotbrownian.pipeline import _estimate, _pooled_mean
 from hotbrownian.twobath import sphere_drag
 
 K_B = hb.CONSTANTS.k_B
@@ -86,6 +87,15 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="mixes pressures"):
             calibrate(sweep)
 
+    @pytest.mark.parametrize("short_at", [0, -1])
+    def test_rejects_points_with_different_axes(self, short_at):
+        # One point lacks the y fit, first or last: neither may drop the
+        # axis silently nor end in a KeyError.
+        sweep = linear_sweep(4.0e-9, 2.5e-11, axes=("x", "y"))
+        sweep[short_at] = stub_point(sweep[short_at].laser_power, 5.0e-9, axes=("x",))
+        with pytest.raises(CalibrationError, match=r"different axes \(x\) vs \(x, y\)"):
+            calibrate(sweep)
+
     def test_rejects_fewer_than_three_powers(self):
         sweep = linear_sweep(4.0e-9, 2.5e-11, powers=(20.0, 60.0))
         with pytest.raises(CalibrationError, match=">= 3"):
@@ -107,7 +117,7 @@ class TestComEnergy:
         sweep = linear_sweep(4.0e-9, 2.5e-11)
         calib = calibrate(sweep)
         pt = sweep[2]
-        expected = calib.c_calib["x"] * pt.normalized_area("x")
+        expected = calib.c_calib["x"] * pt.fits["x"].normalized_area
         assert com_energy(pt, calib, "x") == pytest.approx(expected, rel=1e-12)
         # zero-power energy is k_B * T_room by construction
         virtual = stub_point(0.0, 4.0e-9)
@@ -191,6 +201,50 @@ class TestExtractK:
         ]
         with pytest.raises(EstimationError, match="consistent with\\s+.?zero|consistent with"):
             extract_k(energies, flat)
+
+
+# =============================================================================
+# The weighting rule shared by every line fit
+# =============================================================================
+
+FIT_POWERS = (20.0, 50.0, 80.0, 110.0, 140.0)
+SCATTER = (1.0, -2.0, 1.5, -0.5, 0.8)
+SIGMAS = (1.0, 2.0, 0.5, 3.0, 1.5)
+
+
+def calibrate_with(sigmas):
+    return calibrate([
+        stub_point(p, 4.0e-9 + 2.5e-11 * p + 1e-10 * d, sigma_a=None if s is None else 1e-10 * s)
+        for p, d, s in zip(FIT_POWERS, SCATTER, sigmas)
+    ])
+
+
+def extract_k_with(sigmas):
+    energies = [
+        EnergyPoint(p, K_B * (294.0 + 0.05 * p + d), None if s is None else K_B * s)
+        for p, d, s in zip(FIT_POWERS, SCATTER, sigmas)
+    ]
+    temps = [
+        TemperaturePoint(p, 45.0, 294.0 + 0.17 * p - 0.3 * d, s)
+        for p, d, s in zip(FIT_POWERS, SCATTER, sigmas)
+    ]
+    return extract_k(energies, temps)
+
+
+def fit_heating_law_with(sigmas):
+    pressures = (45.0, 100.0, 45.0, 100.0, 45.0)
+    return hb.fit_heating_law([
+        TemperaturePoint(p, pr, 294.0 + 17.0 * p / pr + 0.5 * d, s)
+        for p, pr, d, s in zip(FIT_POWERS, pressures, SCATTER, sigmas)
+    ])
+
+
+@pytest.mark.parametrize("bad", [None, math.nan, 0.0, math.inf])
+@pytest.mark.parametrize("fit", [calibrate_with, extract_k_with, fit_heating_law_with])
+def test_one_unusable_sigma_makes_the_fit_unweighted(fit, bad):
+    unweighted = fit([None] * len(FIT_POWERS))
+    assert fit(SIGMAS) != unweighted              # the sigmas do weight the fit
+    assert fit(SIGMAS[:2] + (bad,) + SIGMAS[3:]) == unweighted
 
 
 # =============================================================================
@@ -357,6 +411,34 @@ class TestRunCampaign:
         for calib in report.calibrations.values():
             assert calib.c_calib["x"] > 0
             assert calib.c_calib["y"] > 0
+
+    def test_radius_comes_from_the_zero_power_linewidth(
+        self, axes_pair, sphere_particle, heating17
+    ):
+        # Noise-free linewidths of the heated sphere: hot emerging gas adds
+        # drag at every power, so only the P -> 0 linewidth is the Epstein
+        # drag of the ambient gas; a mean over the heated powers reads 1.5 % low.
+        config = CampaignConfig(
+            pressures_hpa=(45.0, 100.0), laser_powers_mw=(30.0, 90.0, 150.0),
+            repetitions=1, duration_s=0.1, dt_s=1e-6, axes=axes_pair,
+            particle=sphere_particle, heating=heating17,
+        )
+        gases = {p: hb.GasEnvironment(pressure=p) for p in config.pressures_hpa}
+        points, temperatures = [], []
+        for pressure, power in itertools.product(config.pressures_hpa, config.laser_powers_mw):
+            t_int = hb.internal_temperature(heating17, power, pressure)
+            gamma_hz = sphere_drag(sphere_particle, gases[pressure],
+                                   emerging_temperature=t_int) / (2 * math.pi)
+            fit = PsdFit(A=(4.0e-9 + 2.5e-11 * power) * 5e4**2, f_q=5e4, gamma=gamma_hz,
+                         floor=0.0, converged=True)
+            points.append(PowerSweepPoint(power, 0, pressure, {"x": fit, "y": fit}))
+            temperatures.append(TemperaturePoint(power, pressure, t_int, 0.1))
+        errors = []
+        _, _, radius, _ = _estimate(config, gases, points, temperatures, errors)
+        assert errors == []
+        assert sorted(radius) == [45.0, 100.0]
+        for r in radius.values():
+            assert r == pytest.approx(500e-9, rel=3e-3)
 
     def test_recovers_the_particle_radius(self, mini_campaign):
         _, report = mini_campaign

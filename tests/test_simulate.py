@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hotbrownian as hb
 from hotbrownian import AnomalyInjection, ConfigError, SimulationConfig
-from hotbrownian.simulate import TimeTrace, simulate_trace
+from hotbrownian.simulate import TimeTrace, _axis_truth, simulate_trace
 from hotbrownian.twobath import internal_temperature, sphere_drag, two_bath_tcom
 
 K_B = hb.CONSTANTS.k_B
@@ -157,6 +158,29 @@ class TestTruthMetadata:
         expected = ty["t_com"] + s_ff / (4 * sphere_particle.mass * ty["gamma_rad_s"] * K_B)
         assert ty["t_eff"] == pytest.approx(expected, rel=1e-12)
         assert ty["t_eff"] > 1.3 * ty["t_com"]
+
+
+@given(
+    st.floats(min_value=260.0, max_value=330.0),
+    st.floats(min_value=0.0, max_value=60.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_axis_truth_tcom_equals_the_closed_form(t0, excess, alpha):
+    # The simulator splits the drag into the impinging and emerging baths
+    # itself; the friction-weighted mean must be the closed form of twobath.
+    cfg = SimulationConfig(
+        dt=1e-6, duration=0.01, rng_seed=0, laser_power=0.1,
+        axes=(hb.TrapAxis(label="x", stiffness_coefficient=2 * math.pi * 1.807e5,
+                          detection_gain=1.0e9),),
+        gas=hb.GasEnvironment(pressure=45.0, temperature=t0),
+        particle=hb.ParticleModel(shape=hb.Sphere(radius=500e-9), density=3500.0),
+        heating=hb.HeatingLaw(kappa_heat=excess * 45.0 / 100.0, T0=t0),  # T_int = t0 + excess
+        alpha_c=alpha,
+    )
+    truth = _axis_truth(cfg, cfg.axes[0])
+    assert truth["t_com"] == pytest.approx(
+        two_bath_tcom(t0, truth["t_int"] - t0, alpha), rel=1e-12
+    )
 
 
 # =============================================================================

@@ -14,9 +14,7 @@ import hotbrownian as hb
 from hotbrownian.errors import AccommodationWarning, DomainError, EstimationError
 from hotbrownian.twobath import (
     SPHERE_COUPLING_PER_ALPHA,
-    BathPair,
     internal_temperature,
-    make_bath_pair,
     two_bath_tcom,
     two_bath_tcom_linearized,
 )
@@ -163,46 +161,6 @@ def test_internal_temperature_validation(heating17):
         internal_temperature(heating17, -1.0, 45.0)
     with pytest.raises(DomainError):
         hb.HeatingLaw(kappa_heat=-1.0)
-
-
-# =============================================================================
-# Bath pair construction (independent route to the same CoM temperature)
-# =============================================================================
-
-def test_bath_pair_reproduces_tcom():
-    pair = make_bath_pair(294.0, 331.77777777777777, 1.0, 19673.66632805824)
-    assert pair.gamma_total == pytest.approx(19673.66632805824, rel=1e-14)
-    assert pair.weighted_temperature == pytest.approx(
-        two_bath_tcom(294.0, 331.77777777777777 - 294.0, 1.0), rel=1e-13
-    )
-
-
-@given(
-    st.floats(min_value=260.0, max_value=330.0),
-    st.floats(min_value=0.0, max_value=60.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_bath_pair_route_equals_closed_form(t0, excess, alpha):
-    pair = make_bath_pair(t0, t0 + excess, alpha, 1e4)
-    assert pair.weighted_temperature == pytest.approx(
-        two_bath_tcom(t0, excess, alpha), rel=1e-12
-    )
-
-
-def test_bath_pair_noise_weight():
-    pair = BathPair(
-        T_impinging=294.0, T_emerging=320.0,
-        gamma_impinging=1.0e4, gamma_emerging=4.0e3,
-    )
-    expected = hb.CONSTANTS.k_B * (1.0e4 * 294.0 + 4.0e3 * 320.0)
-    assert pair.effective_force_noise == pytest.approx(expected, rel=1e-14)
-
-
-def test_make_bath_pair_validation():
-    with pytest.raises(DomainError):
-        make_bath_pair(294.0, 290.0, 1.0, 1e4)     # T_int below ambient
-    with pytest.raises(DomainError):
-        make_bath_pair(294.0, 300.0, 1.0, 0.0)     # no friction to split
 
 
 # =============================================================================
