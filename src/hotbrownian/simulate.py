@@ -10,8 +10,10 @@ temperature of one axis without touching its friction.
 Sampling exact in dt: (q, v) is a linear Gauss-Markov process, so the
 one-step transition matrix and process-noise covariance follow from a
 single matrix exponential (Van Loan block construction).  Positions then
-obey a scalar AR(2) recursion, evaluated with a linear filter — no
-small-dt error at any sampling rate.  The tests check the samples
+form an exact ARMA(2,1) process driven by one normal stream, evaluated
+with a linear filter — no small-dt error at any sampling rate.  Each
+axis draws, in order, 3 normals for the stationary start state, n
+innovations, and then its detector noise.  The tests check the samples
 against the exact autocovariance of the time-lapsed oscillator
 (Norrelykke & Flyvbjerg, Phys. Rev. E 83, 041103, 2011).
 
@@ -193,34 +195,44 @@ def _sample_positions(
 ) -> np.ndarray:
     """Stationary position samples of the exact discrete-time oscillator.
 
-    The (q, v) chain is collapsed to a scalar AR(2) recursion
-    q_{k+1} = trP q_k - detP q_{k-1} + e_k and run through lfilter, which
-    matches the explicit 2x2 matrix iteration to machine precision.
+    The (q, v) chain collapses to the scalar ARMA(2,1) process
+
+        q_k = trP q_{k-1} - detP q_{k-2} + u_k + theta u_{k-1},
+
+    whose MA(1) part matches the lag-0 and lag-1 covariances c0, c1 of
+    the two-component drive e_k = xi_q,k - P11 xi_q,k-1 + P01 xi_v,k-1,
+    with theta the invertible root (|theta| < 1) of c1/c0 = theta/(1+theta^2).
+    The generator gives 3 normals for the stationary start state
+    (q_-1, q_-2, u_-1), then the n innovations u; callers draw detector
+    noise after that.
     """
     k_b = CONSTANTS.k_B
     diffusion = 2.0 * gamma * k_b * t_eff / mass
     phi, sigma = _exact_step_matrices(omega0, gamma, diffusion, dt)
-    chol = np.linalg.cholesky(sigma)
-
-    q0 = math.sqrt(k_b * t_eff / (mass * omega0**2)) * rng.standard_normal()
-    v0 = math.sqrt(k_b * t_eff / mass) * rng.standard_normal()
-    w = rng.standard_normal((2, n - 1))
-    w1 = chol[0, 0] * w[0]
-    # w2 = chol[1, 0] * w[0] + chol[1, 1] * w[1], built in the buffer of w
-    w2 = np.multiply(w[0], chol[1, 0], out=w[0])
-    w2 += np.multiply(w[1], chol[1, 1], out=w[1])
-
     tr_p = phi[0, 0] + phi[1, 1]
     det_p = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
-    drive = np.empty(n)
-    drive[0] = q0
-    drive[1] = phi[0, 0] * q0 + phi[0, 1] * v0 + w1[0] - tr_p * q0
-    # drive[2:] = w1[1:] - phi[1, 1] * w1[:-1] + phi[0, 1] * w2[:-1], in place
-    tail = np.multiply(w1[:-1], phi[1, 1], out=drive[2:])
-    np.subtract(w1[1:], tail, out=tail)
-    w2 *= phi[0, 1]
-    tail += w2[:-1]
-    return scipy.signal.lfilter([1.0], [1.0, -tr_p, det_p], drive)
+
+    c0 = (sigma[0, 0] * (1.0 + phi[1, 1] ** 2)
+          - 2.0 * phi[1, 1] * phi[0, 1] * sigma[0, 1]
+          + phi[0, 1] ** 2 * sigma[1, 1])
+    c1 = phi[0, 1] * sigma[0, 1] - phi[1, 1] * sigma[0, 0]
+    theta = 2.0 * c1 / (c0 + math.sqrt(max(c0 * c0 - 4.0 * c1 * c1, 0.0)))
+    if not (math.isfinite(theta) and abs(theta) < 1.0):
+        raise DomainError(
+            f"no invertible ARMA(2,1) form at omega0={omega0:.6g} rad/s, "
+            f"gamma={gamma:.6g} rad/s, dt={dt:.6g} s (theta={theta!r})"
+        )
+    var_u = c0 / (1.0 + theta * theta)
+
+    g0 = k_b * t_eff / (mass * omega0**2)
+    g1 = phi[0, 0] * g0
+    start_cov = np.array([[g0, g1, var_u], [g1, g0, 0.0], [var_u, 0.0, var_u]])
+    q1, q2, u1 = np.linalg.cholesky(start_cov) @ rng.standard_normal(3)
+    zi = np.array([tr_p * q1 - det_p * q2 + theta * u1, -det_p * q1])
+
+    u = rng.standard_normal(n)
+    u *= math.sqrt(var_u)
+    return scipy.signal.lfilter([1.0, theta], [1.0, -tr_p, det_p], u, zi=zi)[0]
 
 
 def _axis_truth(config: SimulationConfig, axis: TrapAxis) -> dict:

@@ -14,6 +14,7 @@ which is what downstream energy calibration relies on.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -45,6 +46,17 @@ class Psd:
     segment_count: int
     window_name: str
     dt: float                            # [s]
+
+
+@functools.lru_cache(maxsize=8)
+def _window(name: str, length: int) -> np.ndarray:
+    """Read-only window array, computed once per (name, length)."""
+    try:
+        win = scipy.signal.get_window(name, length)
+    except ValueError as exc:
+        raise DomainError(f"invalid window {name!r}: {exc}") from exc
+    win.flags.writeable = False
+    return win
 
 
 def welch_psd(
@@ -109,10 +121,7 @@ def welch_psd(
     # (numpy 2.4, scipy 1.17) but caches no plan: scipy.fft keeps one per
     # length (131 kB at 16384), allocated above the caller's trace, which
     # then kept the trace's heap space from being trimmed once freed.
-    try:
-        win = scipy.signal.get_window(window, nperseg)
-    except ValueError as exc:
-        raise DomainError(f"invalid window {window!r}: {exc}") from exc
+    win = _window(window, nperseg)
     segments = np.lib.stride_tricks.sliding_window_view(signal, nperseg)[::step]
     block = max(1, _WELCH_BLOCK_SAMPLES // nperseg)
     values = np.zeros(nperseg // 2 + 1)
@@ -160,47 +169,77 @@ def psd_model(
     at Nyquist and decays away from it.
     """
     f = np.asarray(f, dtype=float)
-    out = _core_terms(f, A, f_q, gamma)[0] + floor
+    grid = f.ravel()
+    out = np.full(grid.shape, float(floor))
+    _add_lorentzian(grid * grid, A, f_q, gamma, out)
     if sample_rate is not None:
-        out = out + _core_terms(sample_rate - f, A, f_q, gamma)[0]
-    return out
+        _add_lorentzian((sample_rate - grid) ** 2, A, f_q, gamma, out)
+    return out.reshape(f.shape)
 
 
-def _core_terms(f: np.ndarray, a: float, f_q: float, gamma: float):
-    """Lorentzian core and derivatives w.r.t. (A, f_q, gamma) on grid f."""
-    denom = (f**2 - f_q**2) ** 2 + (f * gamma) ** 2
-    core = (2.0 / np.pi) * a * f_q**2 * gamma / denom
-    d_a = core / a
-    d_gamma = (2.0 / np.pi) * a * f_q**2 * (denom - 2.0 * gamma**2 * f**2) / denom**2
-    d_fq = (
-        (2.0 / np.pi) * a * gamma
-        * (2.0 * f_q * denom + 4.0 * f_q**3 * (f**2 - f_q**2))
-        / denom**2
-    )
-    return core, d_a, d_fq, d_gamma
+def _add_lorentzian(f2, a, f_q, gamma, out, grad=None) -> None:
+    """Add the Lorentzian core at squared frequencies ``f2`` to ``out``.
 
-
-def _model_and_jacobian(f: np.ndarray, p: np.ndarray, with_floor: bool, f_mirror: np.ndarray):
-    """Model value and analytic Jacobian w.r.t. (A, f_q, gamma[, c]).
-
-    ``f_mirror`` carries the alias-image frequencies fs - f, where the
-    mirrored Lorentzian is evaluated, so the model matches the spectrum
-    of a sampled (aliased) process.  The constant floor is not mirrored:
-    it parameterizes the flat level as measured.
+    With ``grad`` (rows for A, f_q, gamma), also add the core's
+    derivatives to its rows.  With u = f^2 - f_q^2 and
+    denom = u^2 + gamma^2 f^2, all terms share 1/denom:
+    d/dA = core/A, d/df_q = core (2/f_q + 4 f_q u/denom) and
+    d/dgamma = core (1/gamma - 2 gamma f^2/denom).
     """
-    a, f_q, gamma = p[0], p[1], p[2]
-    core, d_a, d_fq, d_gamma = _core_terms(f, a, f_q, gamma)
-    core_m, d_a_m, d_fq_m, d_gamma_m = _core_terms(f_mirror, a, f_q, gamma)
-    core = core + core_m
-    d_a = d_a + d_a_m
-    d_fq = d_fq + d_fq_m
-    d_gamma = d_gamma + d_gamma_m
-    model = core + (p[3] if with_floor else 0.0)
+    u = f2 - f_q * f_q
+    inv = u * u
+    inv += (gamma * gamma) * f2
+    np.reciprocal(inv, out=inv)
+    core = inv * ((2.0 / np.pi) * a * f_q * f_q * gamma)
+    out += core
+    if grad is None:
+        return
+    grad[0] += core / a
+    u *= inv
+    u *= 4.0 * f_q
+    u += 2.0 / f_q
+    u *= core
+    grad[1] += u
+    inv *= f2
+    inv *= -2.0 * gamma
+    inv += 1.0 / gamma
+    inv *= core
+    grad[2] += inv
 
-    cols = [d_a, d_fq, d_gamma]
-    if with_floor:
-        cols.append(np.ones_like(f))
-    return model, np.column_stack(cols)
+
+class _LineKernel:
+    """Relative residual (model - s)/s and its Jacobian on one fit band.
+
+    The model is the Lorentzian plus its first alias image at fs - f
+    (see :func:`psd_model`), and with ``with_floor`` a constant floor,
+    which is not mirrored: it parameterizes the flat level as measured.
+    The squared frequencies and the output buffers are set up once per
+    fit.  Each call returns copies, because the Gauss-Newton loop keeps
+    the accepted pair while it tries further steps.
+    """
+
+    def __init__(self, f: np.ndarray, s: np.ndarray, sample_rate: float, with_floor: bool):
+        self.f2 = f * f
+        self.f2_mirror = (sample_rate - f) ** 2
+        self.s = s
+        self.w = 1.0 / s
+        self.with_floor = with_floor
+        self.resid = np.empty(f.size)
+        self.grad = np.empty((4 if with_floor else 3, f.size))
+        if with_floor:
+            self.grad[3] = self.w
+
+    def __call__(self, p: np.ndarray):
+        a, f_q, gamma = p[0], p[1], p[2]
+        model, grad = self.resid, self.grad[:3]
+        model.fill(p[3] if self.with_floor else 0.0)
+        grad.fill(0.0)
+        _add_lorentzian(self.f2, a, f_q, gamma, model, grad)
+        _add_lorentzian(self.f2_mirror, a, f_q, gamma, model, grad)
+        model -= self.s
+        model *= self.w
+        grad *= self.w
+        return model.copy(), self.grad.T.copy(order="K")
 
 
 def _fit_starts(f: np.ndarray, s: np.ndarray, with_floor: bool) -> list[float]:
@@ -328,15 +367,8 @@ def fit_psd(
 
     with_floor = noise_floor == "fitted_constant"
     p0 = np.asarray(_fit_starts(f, s, with_floor), dtype=float)
-    f_mirror = 1.0 / psd.dt - f
-    w = 1.0 / s
-
-    def resid_jac(p):
-        model, jac = _model_and_jacobian(f, p, with_floor, f_mirror)
-        return (model - s) * w, jac * w[:, None]
-
     result = least_squares_gn(
-        resid_jac,
+        _LineKernel(f, s, 1.0 / psd.dt, with_floor),
         p0,
         positive=(0, 1, 2),
         clamp_floor=(3,) if with_floor else (),

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 import hotbrownian as hb
 from hotbrownian import AnomalyInjection, ConfigError, SimulationConfig
-from hotbrownian.simulate import TimeTrace, _axis_truth, simulate_trace
+from hotbrownian.simulate import (TimeTrace, _axis_truth, _exact_step_matrices,
+                                  _sample_positions, simulate_trace)
 from hotbrownian.twobath import internal_temperature, sphere_drag, two_bath_tcom
 
 K_B = hb.CONSTANTS.k_B
@@ -239,6 +240,36 @@ class TestTraceStatistics:
                     math.cos(w1 * tau) + g / (2 * w1) * math.sin(w1 * tau))
                 measured = np.dot(s[:s.size - k], s[k:]) / (s.size - k)
                 assert abs(measured - expected) < 0.03 * var, (label, k)
+
+    @pytest.mark.parametrize("gamma_over_omega0", [0.05, 3.0])
+    def test_start_state_is_stationary(self, sphere_particle, gamma_over_omega0):
+        # Over many seeds the first two samples must carry the stationary
+        # variance g0 = k_B T/(m w0^2) and the lag-1 covariance Phi_00*g0,
+        # underdamped and overdamped (gamma > 2 w0) alike.
+        omega0, t_eff, dt = 2 * math.pi * 5.7e4, 300.0, 1e-6
+        gamma, mass = gamma_over_omega0 * omega0, sphere_particle.mass
+        g0 = K_B * t_eff / (mass * omega0**2)
+        phi, _ = _exact_step_matrices(omega0, gamma, 2 * gamma * K_B * t_eff / mass, dt)
+        g1 = phi[0, 0] * g0
+
+        q = np.array([
+            _sample_positions(omega0, gamma, t_eff, mass, dt, 2, np.random.default_rng(seed))
+            for seed in range(5000)
+        ])
+        sq, lag1 = q[:, 0] ** 2, q[:, 0] * q[:, 1]
+        for moment, expected in ((sq, g0), (lag1, g1)):
+            stderr = moment.std(ddof=1) / math.sqrt(moment.size)
+            assert abs(moment.mean() - expected) <= 4 * stderr, (expected, moment.mean())
+
+    def test_one_call_draws_n_plus_3_normals(self, sphere_particle):
+        # 3 normals for the start state, then n innovations: whatever the
+        # caller draws next (detector noise) starts right after them.
+        n = 1000
+        rng = np.random.default_rng(11)
+        _sample_positions(2 * math.pi * 5.7e4, 2e4, 300.0, sphere_particle.mass, 1e-6, n, rng)
+        reference = np.random.default_rng(11)
+        reference.standard_normal(n + 3)
+        np.testing.assert_array_equal(rng.standard_normal(8), reference.standard_normal(8))
 
     def test_measurement_noise_adds_the_configured_floor(
         self, axes_pair, sphere_particle, heating17, gas45

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotbrownian import DomainError, EstimationError, Psd, PsdFit, fit_psd, psd_model, welch_psd
+from hotbrownian._leastsq import least_squares_gn
 from hotbrownian.simulate import TimeTrace
+from hotbrownian.spectral import _fit_starts, _LineKernel
 
 
 FS = 1.0e6                               # sample rate of the model grids [Hz]
@@ -124,6 +126,18 @@ class TestWelch:
         trace = TimeTrace(dt=1e-6, signals={"x": np.zeros(4096)})
         with pytest.raises(DomainError, match="segment_length"):
             welch_psd(trace, segment_length=1)
+
+    def test_repeated_calls_match_and_unknown_windows_keep_raising(self):
+        # The window array is computed once per (name, length); later calls
+        # must give the same bits, and a bad name must raise every time.
+        rng = np.random.default_rng(3)
+        trace = TimeTrace(dt=1e-6, signals={"x": rng.normal(size=40_000)})
+        first = welch_psd(trace, segment_length=4096, window="blackman")
+        again = welch_psd(trace, segment_length=4096, window="blackman")
+        np.testing.assert_array_equal(first.values, again.values)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="nosuchwindow"):
+                welch_psd(trace, window="nosuchwindow")
 
 
 # =============================================================================
@@ -278,6 +292,88 @@ class TestFitNoisyRecovery:
         # chi-squared weighting by the data biases the area low by ~2/k
         assert -0.06 < fit.A / a - 1 < 0.02
         assert fit.fit_residual == pytest.approx(1.0 / k, rel=0.5)
+
+
+# =============================================================================
+# fit_psd: the Lorentzian kernel against psd_model
+# =============================================================================
+
+def model_of(f, p, with_floor):
+    """psd_model with the alias image, at parameters p = (A, f_q, gamma[, floor])."""
+    return psd_model(f, p[0], p[1], p[2], floor=p[3] if with_floor else 0.0,
+                     sample_rate=FS)
+
+
+class TestLineKernel:
+    P = (3.2e-4, 1.8e5, 9.0e3, 2.0e-9)
+
+    @pytest.mark.parametrize("with_floor", [False, True])
+    def test_jacobian_matches_central_differences_of_psd_model(self, with_floor):
+        f = model_grid()[1:]
+        p = np.array(self.P if with_floor else self.P[:3])
+        data = model_of(f, p * 1.05, with_floor)
+        r, jac = _LineKernel(f, data, FS, with_floor)(p)
+
+        np.testing.assert_allclose(r, (model_of(f, p, with_floor) - data) / data,
+                                   rtol=1e-12, atol=1e-14)
+        assert jac.shape == (f.size, p.size)
+        for i in range(p.size):
+            h = 1e-5 * p[i]
+            up, down = p.copy(), p.copy()
+            up[i] += h
+            down[i] -= h
+            fd = (model_of(f, up, with_floor) - model_of(f, down, with_floor)) / (2 * h) / data
+            err = np.max(np.abs(jac[:, i] - fd)) / np.max(np.abs(fd))
+            assert err <= 1e-6, (i, err)
+
+    def test_calls_return_fresh_arrays(self):
+        # The Gauss-Newton loop keeps the accepted (r, J) while it tries
+        # further steps, so a later call must not overwrite them.
+        f = model_grid()[1:]
+        kernel = _LineKernel(f, model_of(f, self.P, False), FS, False)
+        r1, j1 = kernel(np.array(self.P[:3]))
+        r1_copy, j1_copy = r1.copy(), j1.copy()
+        kernel(np.array(self.P[:3]) * 1.1)
+        np.testing.assert_array_equal(r1, r1_copy)
+        np.testing.assert_array_equal(j1, j1_copy)
+
+    @pytest.mark.parametrize("with_floor", [False, True])
+    def test_fit_agrees_with_a_fit_of_the_psd_model_residual(self, with_floor):
+        # Reference: the same Gauss-Newton loop on (psd_model - s)/s with
+        # a central-difference Jacobian, from the same start, on 20 seeded
+        # chi^2-scattered spectra per floor mode.
+        f_all = model_grid()
+        f = f_all[1:]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            truth = (10 ** rng.uniform(-5, -3), rng.uniform(5e4, 3e5),
+                     rng.uniform(2e3, 2e4), 10 ** rng.uniform(-10, -8))
+            k = 11
+            values = (model_of(f_all, truth, with_floor)
+                      * rng.chisquare(2 * k, size=f_all.size) / (2 * k))
+            fit = fit_psd(make_psd(f_all, values, segment_count=k),
+                          noise_floor="fitted_constant" if with_floor else "none")
+
+            s = values[1:]
+
+            def reference(p):
+                r = (model_of(f, p, with_floor) - s) / s
+                jac = np.empty((f.size, p.size))
+                for i in range(p.size):
+                    h = 1e-6 * abs(p[i]) + (1e-18 if i == 3 else 0.0)
+                    up, down = p.copy(), p.copy()
+                    up[i] += h
+                    down[i] -= h
+                    jac[:, i] = (model_of(f, up, with_floor)
+                                 - model_of(f, down, with_floor)) / (2 * h) / s
+                return r, jac
+
+            ref = least_squares_gn(reference, _fit_starts(f, s, with_floor),
+                                   positive=(0, 1, 2),
+                                   clamp_floor=(3,) if with_floor else ())
+            assert fit.converged and ref.converged
+            got = [fit.A, fit.f_q, fit.gamma] + ([fit.floor] if with_floor else [])
+            np.testing.assert_allclose(got, ref.params, rtol=1e-7, err_msg=str(seed))
 
 
 # =============================================================================
