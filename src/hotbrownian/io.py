@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, HotBrownianError
 from .pipeline import CampaignReport, com_energy
 from .simulate import TimeTrace
 from .spectral import Psd
-from .thermometry import EsrSpectrum, ZfsLaw
+from .thermometry import EsrSpectrum, ZfsLaw, _parse_zfs_law
 from .twobath import cylinder_drag, cylinder_k, sphere_k
 from .core import Cylinder, GasEnvironment, ParticleModel
 
@@ -86,10 +86,13 @@ def _malformed(path):
     """Turn a parse failure while reading ``path`` into a ConfigError naming it.
 
     A non-numeric value, a missing column, or a missing or null sidecar
-    key surfaces as ValueError, IndexError, KeyError or TypeError.
+    key surfaces as ValueError, IndexError, KeyError or TypeError.  A
+    toolkit error (a parsed value the toolkit refuses) passes unchanged.
     """
     try:
         yield
+    except HotBrownianError:
+        raise
     except (ValueError, IndexError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed file {path}: {exc}") from exc
 
@@ -218,13 +221,8 @@ def save_zfs_law(law: ZfsLaw, path) -> None:
 
 
 def load_zfs_law(path) -> ZfsLaw:
-    data = json.loads(Path(path).read_text())
-    return ZfsLaw(
-        coefficients=tuple(data["coefficients"]),
-        T_min=data["T_min"],
-        T_max=data["T_max"],
-        source=data.get("source", ""),
-    )
+    with _malformed(path):
+        return _parse_zfs_law(Path(path).read_text())
 
 
 # =============================================================================
@@ -247,7 +245,9 @@ def write_report(report: CampaignReport, outdir, format: str = "csv") -> Path:
     Tables, one CSV each, named by content:
 
     * ``normalized_area_vs_power.csv`` — every PSD fit's A/f_q^2
-    * ``com_energy_vs_power.csv`` — calibrated energies, averaged over reps
+    * ``com_energy_vs_power.csv`` — calibrated energies, averaged over reps;
+      ``sigma_j`` is the standard error of that mean over the repetitions
+      (``nan`` with a single repetition)
     * ``internal_temperature_vs_power.csv`` — raw and corrected ESR temps
     * ``coupling_vs_pressure.csv`` — per-axis, per-pressure K
 
@@ -288,7 +288,7 @@ def write_report(report: CampaignReport, outdir, format: str = "csv") -> Path:
                 cell = [pt for pt in sweep if pt.laser_power == power]
                 energies = [com_energy(pt, calib, axis) for pt in cell]
                 n = len(energies)
-                spread = float(np.std(energies, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+                spread = float(np.std(energies, ddof=1)) / math.sqrt(n) if n > 1 else math.nan
                 rows.append([
                     float(pressure), axis, float(power),
                     float(np.mean(energies)), spread, n,

@@ -1,16 +1,17 @@
-"""Estimation pipeline: calibration, energy extraction, coupling constants,
-overheating classification, and full measurement campaigns.
+"""Estimation pipeline: calibration, coupling constants, overheating
+classification, and full measurement campaigns.
 
 The chain mirrors an actual levitation experiment:
 
 1.  Power sweeps of PSD fits give the normalized area A/f_q^2 per axis.
-    Its zero-power intercept calibrates detector units to energy:
-    C = k_B * T_room / (A/f_q^2)|_(P=0), because an unheated particle is
-    at room temperature.
-2.  Each point's CoM energy is E = C * A/f_q^2; ESR thermometry gives
-    the internal temperature of the same points.
-3.  The hot-Brownian coupling constant is the slope ratio
-    K = dE/dP / (k_B * dT_int/dP), and alpha_c = K * (pi+8)/pi.
+    One line fit over every repetition, A/f_q^2 = a0 + b*P, calibrates
+    detector units to energy, C = k_B * T_room / a0, because an unheated
+    particle is at room temperature.
+2.  ESR thermometry gives the internal temperature at the same powers.
+3.  The hot-Brownian coupling constant is the slope ratio of the
+    calibrated CoM temperature T_room * (A/f_q^2) / a0 over the internal
+    temperature, K = T_room * (b/a0) / (dT_int/dP), with its sigma from
+    the full (b, a0) covariance; alpha_c = K * (pi+8)/pi.
 4.  K across pressures separates true overheating (grows as the gas
     thins) from detection artifacts (flat), feeding a three-way verdict:
     thermal / overheated / undetermined.
@@ -94,6 +95,7 @@ class CalibrationResult:
     intercept_sigma: dict
     slope: dict                          # axis -> d(A/f_q^2)/dP [per mW]
     slope_sigma: dict
+    slope_intercept_cov: dict            # axis -> cov(slope, intercept)
     c_calib: dict                        # axis -> [J per (A/f_q^2 unit)]
     n_points: int
 
@@ -134,7 +136,7 @@ def calibrate(
             "a fit of every calibrated axis"
         )
     (axes,) = axis_sets
-    intercept, intercept_sigma, slope, slope_sigma, c_calib = {}, {}, {}, {}, {}
+    intercept, intercept_sigma, slope, slope_sigma, cov_b_a0, c_calib = {}, {}, {}, {}, {}, {}
     for axis in axes:
         areas = np.array([pt.fits[axis].normalized_area for pt in sweep])
         sigmas = [pt.fits[axis].normalized_area_sigma for pt in sweep]
@@ -153,6 +155,7 @@ def calibrate(
         intercept_sigma[axis] = sig_a0
         slope[axis] = b
         slope_sigma[axis] = math.sqrt(max(cov[0, 0], 0.0))
+        cov_b_a0[axis] = float(cov[0, 1])
         c_calib[axis] = CONSTANTS.k_B * room_temperature / a0
 
     return CalibrationResult(
@@ -162,6 +165,7 @@ def calibrate(
         intercept_sigma=intercept_sigma,
         slope=slope,
         slope_sigma=slope_sigma,
+        slope_intercept_cov=cov_b_a0,
         c_calib=c_calib,
         n_points=len(sweep),
     )
@@ -212,43 +216,52 @@ class KEstimate:
     n_points: int
 
 
-def extract_k(
-    energy_series: Sequence[EnergyPoint],
-    temp_series: Sequence[TemperaturePoint],
-) -> KEstimate:
-    """Slope-ratio coupling constant from matched power sweeps.
+def _slope_ratio(rise: float, rise_sigma: float, temp_series: Sequence[TemperaturePoint]):
+    """K = rise / (dT_int/dP), with ``rise`` the CoM energy slope over k_B [K/mW].
 
-    Both series must sample the same laser powers; each needs at least
-    three points.  The ratio is undefined when the internal temperature
-    does not actually rise, so a temperature slope consistent with zero
-    at two sigma raises :class:`EstimationError`.
+    Fits ``temp_series`` against power; returns ``(K, K_sigma, slope_t,
+    slope_t_sigma)``.  Fewer than three points, or a temperature slope
+    consistent with zero at two sigma (no heating), raise :class:`EstimationError`.
     """
-    if len(energy_series) < 3:
-        raise EstimationError(f"need >= 3 energy points, got {len(energy_series)}")
     if len(temp_series) < 3:
         raise EstimationError(f"need >= 3 temperature points, got {len(temp_series)}")
-    e_sorted = sorted(energy_series, key=lambda pt: pt.laser_power)
-    t_sorted = sorted(temp_series, key=lambda pt: pt.laser_power)
-    p_e = np.array([pt.laser_power for pt in e_sorted])
-    p_t = np.array([pt.laser_power for pt in t_sorted])
-    if p_e.size != p_t.size or not np.allclose(p_e, p_t, rtol=1e-9, atol=1e-12):
-        raise EstimationError("energy and temperature series sample different powers")
-
-    energies = np.array([pt.energy for pt in e_sorted])
-    temps = np.array([pt.temperature for pt in t_sorted])
-    slope_e, _, cov_e = line_fit(p_e, energies, usable_sigma([pt.sigma for pt in e_sorted]))
-    slope_t, _, cov_t = line_fit(p_t, temps, usable_sigma([pt.sigma for pt in t_sorted]))
-    sig_e = math.sqrt(max(cov_e[0, 0], 0.0))
+    powers = np.array([pt.laser_power for pt in temp_series])
+    temps = np.array([pt.temperature for pt in temp_series])
+    slope_t, _, cov_t = line_fit(powers, temps, usable_sigma([pt.sigma for pt in temp_series]))
     sig_t = math.sqrt(max(cov_t[0, 0], 0.0))
     if abs(slope_t) <= 2.0 * sig_t:
         raise EstimationError(
             f"temperature slope {slope_t} +- {sig_t} K/mW is consistent with "
             "zero; no heating to reference the energy rise against"
         )
+    k_value = rise / slope_t
+    return k_value, math.hypot(rise_sigma, k_value * sig_t) / abs(slope_t), slope_t, sig_t
 
-    k_value = slope_e / (CONSTANTS.k_B * slope_t)
-    rel = math.hypot(sig_e / slope_e if slope_e else 0.0, sig_t / slope_t)
-    k_sigma = abs(k_value) * rel
+
+def extract_k(
+    energy_series: Sequence[EnergyPoint],
+    temp_series: Sequence[TemperaturePoint],
+) -> KEstimate:
+    """Slope-ratio coupling constant from user-supplied energies.
+
+    :func:`run_campaign` takes its K straight from the calibration fit
+    instead.  Both series must sample the same laser powers; each needs
+    at least three points.  A temperature slope consistent with zero at
+    two sigma raises :class:`EstimationError`.
+    """
+    if len(energy_series) < 3:
+        raise EstimationError(f"need >= 3 energy points, got {len(energy_series)}")
+    e_sorted = sorted(energy_series, key=lambda pt: pt.laser_power)
+    p_e = np.array([pt.laser_power for pt in e_sorted])
+    energies = np.array([pt.energy for pt in e_sorted])
+    slope_e, _, cov_e = line_fit(p_e, energies, usable_sigma([pt.sigma for pt in e_sorted]))
+    sig_e = math.sqrt(max(cov_e[0, 0], 0.0))
+    k_value, k_sigma, slope_t, sig_t = _slope_ratio(
+        slope_e / CONSTANTS.k_B, sig_e / CONSTANTS.k_B, temp_series
+    )
+    p_t = np.sort([pt.laser_power for pt in temp_series])
+    if p_e.size != p_t.size or not np.allclose(p_e, p_t, rtol=1e-9, atol=1e-12):
+        raise EstimationError("energy and temperature series sample different powers")
     return KEstimate(
         K=k_value,
         K_sigma=k_sigma,
@@ -614,39 +627,24 @@ def _estimate(
             room_temperature=config.room_temperature,
         )
 
-        cells = [
-            (power_mw, [pt for pt in sweep_p if pt.laser_power == power_mw])
-            for power_mw in config.laser_powers_mw
-        ]
-        cells = [(power_mw, cell) for power_mw, cell in cells if cell]
+        powers = {pt.laser_power for pt in sweep_p}
         corrected = [
             replace(t, temperature=heating_fit.corrected_temperature(t))
             for t in temperatures
-            if t.pressure == pressure
-            and any(math.isclose(t.laser_power, power_mw, rel_tol=1e-9)
-                    for power_mw, _ in cells)
+            if t.pressure == pressure and t.laser_power in powers
         ]
         for axis in labels:
-            energy_series = []
-            for power_mw, cell in cells:
-                values = np.array([com_energy(pt, calib, axis) for pt in cell])
-                prop = np.array([
-                    calib.c_calib[axis] * pt.fits[axis].normalized_area_sigma
-                    for pt in cell
-                ])
-                sigma_pt = float(np.sqrt(np.mean(prop**2) / len(cell)))
-                energy_series.append(
-                    EnergyPoint(
-                        laser_power=power_mw,
-                        energy=float(np.mean(values)),
-                        sigma=sigma_pt if sigma_pt > 0 else None,
-                    )
-                )
+            # The calibrated CoM temperature T_room * (A/f_q^2) / a0 rises by
+            # T_room * b/a0 per mW; its sigma is the delta method's for b/a0.
+            a0, ratio = calib.intercept[axis], calib.slope[axis] / calib.intercept[axis]
+            var = (calib.slope_sigma[axis] ** 2 - 2.0 * ratio * calib.slope_intercept_cov[axis]
+                   + (ratio * calib.intercept_sigma[axis]) ** 2) / a0**2
+            t_room = calib.room_temperature
             try:
-                k_est = extract_k(energy_series, corrected)
-                per_pressure[axis].append(
-                    KMeasurement(pressure=pressure, K=k_est.K, sigma=k_est.K_sigma)
+                k_value, k_sigma, _, _ = _slope_ratio(
+                    t_room * ratio, t_room * math.sqrt(max(var, 0.0)), corrected
                 )
+                per_pressure[axis].append(KMeasurement(pressure, k_value, k_sigma))
             except (HotBrownianError, np.linalg.LinAlgError) as exc:
                 _record(errors, "extract_k", str(exc), pressure=pressure, axis=axis)
 

@@ -131,16 +131,15 @@ class ZfsLaw:
         return 0.5 * (lo + hi)
 
 
+def _parse_zfs_law(text: str) -> ZfsLaw:
+    """A :class:`ZfsLaw` from a JSON object of its fields."""
+    return ZfsLaw(**json.loads(text))
+
+
 def default_zfs_law() -> ZfsLaw:
     """The packaged nanodiamond splitting law (cubic, 250-600 K)."""
     payload = resources.files("hotbrownian").joinpath("data/zfs_toyli.json").read_text()
-    data = json.loads(payload)
-    return ZfsLaw(
-        coefficients=tuple(data["coefficients"]),
-        T_min=data["T_min"],
-        T_max=data["T_max"],
-        source=data.get("source", ""),
-    )
+    return _parse_zfs_law(payload)
 
 
 # =============================================================================

@@ -66,21 +66,35 @@ class TestTraceChain:
 # fit-esr
 # =============================================================================
 
-class TestFitEsrCommand:
-    def test_reports_fit_and_temperature(self, tmp_path, capsys):
-        heating = HeatingLaw(kappa_heat=17.0, T0=294.0)
-        sweep = simulate_esr(heating, default_zfs_law(), laser_power=60.0,
-                             pressure=45.0, strain_E=8e6, contrast=0.25,
-                             linewidth=2e6, noise_level=0.5, rng_seed=6)
-        write_esr(sweep, tmp_path / "esr.csv")
+@pytest.fixture
+def esr_csv(tmp_path):
+    sweep = simulate_esr(HeatingLaw(kappa_heat=17.0, T0=294.0), default_zfs_law(),
+                         laser_power=60.0, pressure=45.0, strain_E=8e6, contrast=0.25,
+                         linewidth=2e6, noise_level=0.5, rng_seed=6)
+    write_esr(sweep, tmp_path / "esr.csv")
+    return str(tmp_path / "esr.csv")
 
-        code, out, _ = run(capsys, "fit-esr", str(tmp_path / "esr.csv"))
+
+class TestFitEsrCommand:
+    def test_reports_fit_and_temperature(self, esr_csv, capsys):
+        code, out, _ = run(capsys, "fit-esr", esr_csv)
         assert code == 0
         payload = json.loads(out)
         assert payload["converged"] is True
-        t_true = internal_temperature(heating, 60.0, 45.0)
+        t_true = internal_temperature(HeatingLaw(kappa_heat=17.0, T0=294.0), 60.0, 45.0)
         assert payload["temperature_k"] == pytest.approx(t_true, abs=1.0)
         assert payload["temperature_sigma_k"] > 0
+
+    @pytest.mark.parametrize("law", [
+        {"coefficients": [2.87e9, -7.0e4], "T_max": 600.0},
+        {"coefficients": [2.87e9, "abc"], "T_min": 250.0, "T_max": 600.0},
+    ], ids=["no_T_min", "non_numeric_coefficient"])
+    def test_malformed_zfs_law_exits_3_naming_the_file(self, esr_csv, tmp_path, capsys, law):
+        law_path = write_json(tmp_path / "law.json", law)
+        cfg = write_json(tmp_path / "cfg.json", {"zfs_law": law_path})
+        code, _, err = run(capsys, "fit-esr", esr_csv, "--config", cfg)
+        assert code == 3
+        assert law_path in err
 
 
 # =============================================================================

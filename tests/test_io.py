@@ -291,6 +291,17 @@ class TestWriteReport:
         # 2 pressures x 3 powers x 1 rep x 2 axes
         assert len(rows) - 1 == 12
 
+    def test_single_repetition_energy_sigma_is_nan(self, report_campaign, tmp_path):
+        # One repetition has no spread to take a standard error from.
+        write_report(report_campaign, tmp_path)
+        with (tmp_path / "com_energy_vs_power.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 12
+        for row in rows:
+            assert row["n_reps"] == "1"
+            assert math.isnan(float(row["sigma_j"]))
+            assert float(row["energy_j"]) > 0
+
     def test_temperature_table_applies_the_strain_offset(self, report_campaign, tmp_path):
         write_report(report_campaign, tmp_path)
         offset = report_campaign.heating_fit.strain_offset_K

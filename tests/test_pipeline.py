@@ -26,6 +26,7 @@ from hotbrownian import (
     hydrodynamic_radius,
     run_campaign,
 )
+from hotbrownian._leastsq import line_fit
 from hotbrownian.pipeline import _estimate, _pooled_mean
 from hotbrownian.twobath import sphere_drag
 
@@ -511,3 +512,107 @@ class TestRunCampaign:
         assert len(report.points) == 2 * 3           # surviving cells
         assert len(report.temperatures) == 2 * 4     # ESR works at P=0
         assert report.estimate is not None
+
+
+# =============================================================================
+# Campaign K from the calibration fit
+# =============================================================================
+
+A0 = {"x": 4.0e-9, "y": 6.0e-9}
+SLOPE = {"x": 2.5e-11, "y": 5.0e-11}
+
+
+@pytest.fixture
+def k_config(axes_pair, sphere_particle, heating17):
+    return CampaignConfig(
+        pressures_hpa=(45.0, 100.0), laser_powers_mw=FIT_POWERS, repetitions=1,
+        duration_s=0.1, dt_s=1e-6, axes=axes_pair, particle=sphere_particle,
+        heating=heating17,
+    )
+
+
+def estimate_from(config, area, temperature, sigma_a=0.0):
+    """``_estimate`` on one repetition per cell: A/f_q^2 = area(axis, i, P, p)
+    and ESR temperatures temperature(i, P, p) of sigma 0.1 K, cell i."""
+    gases = {p: hb.GasEnvironment(pressure=p) for p in config.pressures_hpa}
+    grid = list(enumerate(itertools.product(config.pressures_hpa, config.laser_powers_mw)))
+    points = [
+        PowerSweepPoint(power, 0, pressure, {
+            axis: PsdFit(A=area(axis, i, power, pressure), f_q=1.0, gamma=100.0, floor=0.0,
+                         converged=True, uncertainties={"A": sigma_a} if sigma_a else {})
+            for axis in ("x", "y")
+        })
+        for i, (pressure, power) in grid
+    ]
+    temperatures = [
+        TemperaturePoint(power, pressure, temperature(i, power, pressure), 0.1)
+        for i, (pressure, power) in grid
+    ]
+    errors = []
+    heating_fit, calibrations, _, estimate = _estimate(
+        config, gases, points, temperatures, errors
+    )
+    return points, temperatures, heating_fit, calibrations, estimate, errors
+
+
+class TestCampaignCoupling:
+    def test_k_is_the_calibrated_slope_ratio(self, k_config):
+        # Noise-free areas a0 + b*P and temperatures T0 + s*P, s = 17/p.
+        *_, est, errors = estimate_from(
+            k_config,
+            lambda axis, i, power, pressure: A0[axis] + SLOPE[axis] * power,
+            lambda i, power, pressure: 294.0 + 17.0 * power / pressure,
+        )
+        assert errors == []
+        for axis in ("x", "y"):
+            assert [m.pressure for m in est.per_pressure[axis]] == [45.0, 100.0]
+            for m in est.per_pressure[axis]:
+                expected = 294.0 * (SLOPE[axis] / A0[axis]) / (17.0 / m.pressure)
+                assert m.K == pytest.approx(expected, rel=1e-12)
+
+    def test_k_sigma_uses_the_full_calibration_covariance(self, k_config):
+        scatter = SCATTER * 2
+        points, temperatures, heating_fit, calibrations, est, errors = estimate_from(
+            k_config,
+            lambda axis, i, power, pressure: (
+                A0[axis] + SLOPE[axis] * power + 2e-11 * scatter[i]
+            ),
+            lambda i, power, pressure: 294.0 + 17.0 * power / pressure + 0.3 * scatter[i],
+            sigma_a=2e-11,
+        )
+        assert errors == []
+        for pressure in k_config.pressures_hpa:
+            temps = [t for t in temperatures if t.pressure == pressure]
+            slope_t, _, cov_t = line_fit(
+                np.array([t.laser_power for t in temps]),
+                np.array([heating_fit.corrected_temperature(t) for t in temps]),
+                np.array([t.sigma for t in temps]),
+            )
+            sweep = [pt for pt in points if pt.pressure_hpa == pressure]
+            for axis in ("x", "y"):
+                b, a0, cov = line_fit(
+                    np.array([pt.laser_power for pt in sweep]),
+                    np.array([pt.fits[axis].normalized_area for pt in sweep]),
+                    np.array([pt.fits[axis].normalized_area_sigma for pt in sweep]),
+                )
+                k_value = 294.0 * (b / a0) / slope_t
+                rel2 = (cov[0, 0] / b**2 + cov[1, 1] / a0**2 - 2.0 * cov[0, 1] / (b * a0)
+                        + cov_t[0, 0] / slope_t**2)
+                (m,) = [m for m in est.per_pressure[axis] if m.pressure == pressure]
+                assert m.K == pytest.approx(k_value, rel=1e-12)
+                assert m.sigma == pytest.approx(abs(k_value) * math.sqrt(rel2), rel=1e-12)
+                assert calibrations[pressure].slope_intercept_cov[axis] == cov[0, 1]
+
+    def test_flat_temperatures_drop_only_that_pressure(self, k_config):
+        *_, calibrations, est, errors = estimate_from(
+            k_config,
+            lambda axis, i, power, pressure: A0[axis] + SLOPE[axis] * power,
+            lambda i, power, pressure: 294.0 + (17.0 * power / 45.0 if pressure == 45.0 else 0.0),
+        )
+        assert [(e["stage"], e["pressure"], e["axis"]) for e in errors] == [
+            ("extract_k", 100.0, "x"), ("extract_k", 100.0, "y"),
+        ]
+        assert all("consistent with zero" in e["message"] for e in errors)
+        assert sorted(calibrations) == [45.0, 100.0]
+        for axis in ("x", "y"):
+            assert [m.pressure for m in est.per_pressure[axis]] == [45.0]
