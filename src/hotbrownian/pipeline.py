@@ -392,8 +392,8 @@ class EsrSettings:
     linewidth_hz: float = 2.5e6
     contrast: float = 0.22
     noise_level: float = 1.0
-    baseline_counts: float = 1e5
-    center_offset_hz: float = 0.0
+    baseline_counts: float = _default(simulate_esr, "baseline_counts")
+    center_offset_hz: float = _default(simulate_esr, "center_offset_hz")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import scipy.signal
 from .core import (CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis,
                    trap_frequency, w_to_mw)
 from .errors import ConfigError, DomainError
-from .thermometry import EsrSpectrum, ZfsLaw
+from .thermometry import EsrSpectrum, ZfsLaw, _dips
 from .twobath import (_SPHERE_BATH_RATIO, HeatingLaw, _check_alpha, internal_temperature,
                       sphere_drag)
 
@@ -299,7 +299,7 @@ def simulate_trace(config: SimulationConfig) -> TimeTrace:
     for axis, child in zip(config.axes, children):
         rng = np.random.default_rng(child)
         params = _axis_truth(config, axis)
-        q = _sample_positions(
+        volts = _sample_positions(
             params["omega0"],
             params["gamma_rad_s"],
             params["t_eff"],
@@ -308,13 +308,14 @@ def simulate_trace(config: SimulationConfig) -> TimeTrace:
             n,
             rng,
         )
+        # The sampler returns a fresh array: scale and add to it in place.
         gain = axis.detection_gain * config.laser_power   # [V/m]
-        volts = gain * q
+        volts *= gain
         if config.measurement_noise_psd > 0:
             # One-sided voltage PSD S over the Nyquist band -> sample
             # variance S * fs / 2.
             sigma_meas = math.sqrt(config.measurement_noise_psd / (2.0 * config.dt))
-            volts = volts + sigma_meas * rng.standard_normal(n)
+            volts += sigma_meas * rng.standard_normal(n)
         signals[axis.label] = volts
         params["detection_gain_v_per_m"] = gain
         truth[axis.label] = params
@@ -353,7 +354,9 @@ def simulate_esr(
 
     The particle's internal temperature fixes the zero-field splitting
     through ``d_law``; strain splits the two resonances to
-    D +- strain_E.  Counts follow
+    D +- strain_E.  The expected counts lam are the dip shape that
+    :func:`~hotbrownian.thermometry.fit_esr` fits, written once for both,
+    with the common contrast and linewidth on each dip.  Counts follow
 
         counts = lam + noise_level * (Poisson(lam) - lam),
 
@@ -404,10 +407,8 @@ def simulate_esr(
                 "frequency grid does not cover both resonances plus one linewidth"
             )
 
-    half = 0.5 * linewidth
-    dip_lo = half**2 / ((freqs - f_lo_dip) ** 2 + half**2)
-    dip_hi = half**2 / ((freqs - f_hi_dip) ** 2 + half**2)
-    lam = baseline_counts * (1.0 - contrast * dip_lo - contrast * dip_hi)
+    lam = _dips(freqs, np.array([baseline_counts, contrast, f_lo_dip, linewidth,
+                                 contrast, f_hi_dip, linewidth]))
 
     counts = lam.copy()
     if noise_level > 0:

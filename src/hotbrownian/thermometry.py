@@ -181,29 +181,32 @@ class EsrFit:
     n_points: int = 0
 
 
-def _dips_resid_jac(f, counts):
-    """Residual and Jacobian of B*(1 - sum_k C_k*L(f; f_k, w_k)) - counts.
+def _dips(f, p, jacobian: bool = False):
+    """The dip shape B*(1 - sum_k C_k*L(f; f_k, w_k)) at frequencies ``f``.
 
     Parameters are ``[B, (C, f, w) x n]``; n follows from their number.
+    With ``jacobian`` the derivative by the parameters comes too, as
+    ``(model, jac)``.  :func:`~hotbrownian.simulate.simulate_esr` and
+    :func:`fit_esr` share it.
     """
-    def resid_jac(p):
-        b = p[0]
-        jac = np.empty((f.size, p.size))
-        shape = 1.0
-        for k in range(1, p.size, 3):
-            c, center, width = p[k:k + 3]
-            h = 0.5 * width
-            d = f - center
-            den = d * d + h * h
-            dip = h * h / den
-            shape = shape - c * dip
+    b = p[0]
+    jac = np.empty((f.size, p.size)) if jacobian else None
+    shape = 1.0
+    for k in range(1, p.size, 3):
+        c, center, width = p[k:k + 3]
+        h = 0.5 * width
+        d = f - center
+        den = d * d + h * h
+        dip = h * h / den
+        shape = shape - c * dip
+        if jacobian:
             jac[:, k] = -b * dip
             jac[:, k + 1] = -b * c * (2.0 * h * h * d / den**2)
             jac[:, k + 2] = -b * c * (h * d * d / den**2)
-        jac[:, 0] = shape
-        return b * shape - counts, jac
-
-    return resid_jac
+    if not jacobian:
+        return b * shape
+    jac[:, 0] = shape
+    return b * shape, jac
 
 
 def _esr_starts(f: np.ndarray, counts: np.ndarray):
@@ -227,8 +230,10 @@ def _esr_starts(f: np.ndarray, counts: np.ndarray):
 def fit_esr(spectrum: EsrSpectrum) -> EsrFit:
     """Fit the double-dip model to an ESR sweep, in any frequency order.
 
-    Falls back to a single dip (E = 0) when the double fit does not
-    converge or collapses its splitting below one frequency step.
+    The model is the dip shape that :func:`~hotbrownian.simulate.simulate_esr`
+    draws its counts from.  Falls back to a single dip (E = 0) when the
+    double fit does not converge or collapses its splitting below one
+    frequency step; the single dip then fills both dip slots.
     """
     f = np.asarray(spectrum.microwave_frequencies, dtype=float)
     counts = np.asarray(spectrum.pl_counts, dtype=float)
@@ -244,69 +249,44 @@ def fit_esr(spectrum: EsrSpectrum) -> EsrFit:
     order = np.argsort(f, kind="stable")
     f, counts = f[order], counts[order]
 
+    def resid_jac(p):
+        model, jac = _dips(f, p, jacobian=True)
+        return model - counts, jac
+
     baseline, contrast0, center, half_span = _esr_starts(f, counts)
     df = float(f[1] - f[0])
-    p0 = np.array([
-        baseline,
-        contrast0, center - half_span, half_span,
-        contrast0, center + half_span, half_span,
-    ])
-    result = least_squares_gn(_dips_resid_jac(f, counts), p0, positive=tuple(range(7)))
+    for p0 in ([baseline, contrast0, center - half_span, half_span,
+                contrast0, center + half_span, half_span],
+               [baseline, contrast0, center, 2.0 * half_span]):
+        result = least_squares_gn(resid_jac, p0, positive=tuple(range(len(p0))))
+        if result.converged and np.ptp(result.params[2::3]) >= df:
+            break
 
-    splitting = abs(result.params[5] - result.params[2])
-    if result.converged and splitting >= df:
-        p = result.params
-        sig = result.sigma(f.size)
-        # Order the dips as f1 < f2 (parameter blocks [C, f, w]).
-        if p[2] > p[5]:
-            order = [0, 4, 5, 6, 1, 2, 3]
-            p = p[order]
-            sig = sig[order]
-        cov = result.cov_unscaled * result.cost / max(f.size - 7, 1)
-        # With the swap above the covariance indices of f1/f2 may have
-        # exchanged; |cov| entries are symmetric under the dip relabel.
-        var_d = 0.25 * (cov[2, 2] + cov[5, 5] + 2.0 * cov[2, 5])
-        var_e = 0.25 * (cov[2, 2] + cov[5, 5] - 2.0 * cov[2, 5])
-        names = ["B", "C1", "f1", "w1", "C2", "f2", "w2"]
-        unc = {name: float(s) for name, s in zip(names, sig)}
-        unc["D"] = math.sqrt(max(var_d, 0.0))
-        unc["E"] = math.sqrt(max(var_e, 0.0))
-        dof = max(f.size - 7, 1)
-        return EsrFit(
-            B=float(p[0]),
-            C1=float(p[1]), f1=float(p[2]), w1=float(p[3]),
-            C2=float(p[4]), f2=float(p[5]), w2=float(p[6]),
-            D=float(0.5 * (p[2] + p[5])),
-            E=float(0.5 * (p[5] - p[2])),
-            uncertainties=unc,
-            fit_residual=result.cost / dof,
-            converged=True,
-            fallback_single_dip=False,
-            n_points=int(f.size),
-        )
-
-    # Single-dip fallback: unresolved splitting.
-    p0_single = np.array([baseline, contrast0, center, 2.0 * half_span])
-    single = least_squares_gn(_dips_resid_jac(f, counts), p0_single, positive=(0, 1, 2, 3))
-    b, c1, f1, w1 = single.params
-    sig = single.sigma(f.size)
-    unc = {
-        "B": float(sig[0]), "C1": float(sig[1]), "C2": float(sig[1]),
-        "f1": float(sig[2]), "f2": float(sig[2]),
-        "w1": float(sig[3]), "w2": float(sig[3]),
-        "D": float(sig[2]), "E": 0.0,
-    }
-    dof = max(f.size - 4, 1)
+    p, sig = result.params, result.sigma(f.size)
+    dof = max(f.size - p.size, 1)
+    # D and E sigmas from the covariance as fitted, at the centre indices
+    # (one index twice for a single dip): pinv leaves it asymmetric in the
+    # last bits, so a permuted copy would move them.
+    cov = result.cov_unscaled * result.cost / dof
+    i, j = 2, p.size - 2
+    var_d = 0.25 * (cov[i, i] + cov[j, j] + 2.0 * cov[i, j])
+    var_e = 0.25 * (cov[i, i] + cov[j, j] - 2.0 * cov[i, j])
+    # Dip blocks [C, f, w] ordered so that f1 <= f2.
+    lo, hi = sorted((1, p.size - 3), key=lambda k: p[k + 1])
+    take = [0, lo, lo + 1, lo + 2, hi, hi + 1, hi + 2]
+    names = ["B", "C1", "f1", "w1", "C2", "f2", "w2"]
+    values = {name: float(v) for name, v in zip(names, p[take])}
+    unc = {name: float(s) for name, s in zip(names, sig[take])}
+    unc["D"] = math.sqrt(max(var_d, 0.0))
+    unc["E"] = math.sqrt(max(var_e, 0.0))
     return EsrFit(
-        B=float(b),
-        C1=float(c1), f1=float(f1), w1=float(w1),
-        C2=float(c1), f2=float(f1), w2=float(w1),
-        D=float(f1),
-        E=0.0,
+        **values,
+        D=0.5 * (values["f1"] + values["f2"]),
+        E=0.5 * (values["f2"] - values["f1"]),
         uncertainties=unc,
-        fit_residual=single.cost / dof,
-        converged=bool(single.converged),
-        fallback_single_dip=True,
+        fit_residual=result.cost / dof,
+        converged=bool(result.converged),
+        fallback_single_dip=p.size == 4,
         n_points=int(f.size),
     )
 

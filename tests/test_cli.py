@@ -2,10 +2,15 @@
 
 import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hotbrownian
 from hotbrownian import default_zfs_law, simulate_esr, write_esr
 from hotbrownian.cli import main
 from hotbrownian.twobath import HeatingLaw, internal_temperature
@@ -447,29 +452,47 @@ class TestFlags:
 # Memory
 # =============================================================================
 
-class _MallInfo2(ctypes.Structure):
+# Run in a fresh interpreter; prints the exit code and the free heap before
+# and after the command.
+_HEAP_SCRIPT = """
+import ctypes, sys
+import numpy as np
+from hotbrownian.cli import main
+
+class MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd",
         "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
 
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo2
+# Freeing a 32 MB mmapped block raises glibc's trim threshold to 64 MB,
+# so the 32 MB of blocks freed next stay in the heap.
+np.ones(4_000_000)
+blocks = [np.ones(1_000_000) for _ in range(4)]
+del blocks
+free_before = mallinfo2().fordblks
+code = main(["fit-psd", sys.argv[1]])
+print(code, free_before, mallinfo2().fordblks)
+"""
 
-def test_command_hands_freed_heap_memory_back(tmp_path, capsys):
+
+def test_command_hands_freed_heap_memory_back(tmp_path):
     """Freed arrays left at the top of the heap do not outlive a command.
 
-    The test compares free heap before and after the command, so holes
-    that earlier tests left below live blocks do not count.
+    The command runs in a fresh interpreter, so the heap that earlier
+    tests left behind does not count.
     """
-    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
-    if mallinfo2 is None:
+    if getattr(ctypes.CDLL(None), "mallinfo2", None) is None:
         pytest.skip("needs glibc's mallinfo2")
-    mallinfo2.restype = _MallInfo2
-    # Freeing a 32 MB mmapped block raises glibc's trim threshold to 64 MB,
-    # so the 32 MB of blocks freed next stay in the heap.
-    np.ones(4_000_000)
-    blocks = [np.ones(1_000_000) for _ in range(4)]
-    del blocks
-    free_before = mallinfo2().fordblks
-    assert free_before > 30e6
-    code, _, _ = run(capsys, "fit-psd", str(tmp_path / "missing.csv"))
+    src = str(Path(hotbrownian.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _HEAP_SCRIPT, str(tmp_path / "missing.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, free_before, free_after = map(int, done.stdout.split())
     assert code == 3
-    assert free_before - mallinfo2().fordblks > 25e6
+    assert free_before > 30e6
+    assert free_before - free_after > 25e6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,25 @@ class TestWelch:
             psd = welch_psd(trace, segment_length=1_000_000)
         assert psd.segment_count == 1
         assert psd.frequencies.size == 4096 // 2 + 1
+
+    @pytest.mark.parametrize("window", ["hann", "blackman", "hamming"])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("n, segment_length", [(1_200_000, 16384), (5000, 8192)],
+                             ids=["over_64_segments", "segment_clipped"])
+    def test_matches_scipy_welch(self, n, segment_length, overlap, window):
+        # Over 64 segments of 16384 the rfft runs block by block, and the
+        # block sums add up; a clipped segment is one segment of the trace.
+        rng = np.random.default_rng(4)
+        dt = 1.0e-6
+        trace = TimeTrace(dt=dt, signals={"x": rng.normal(size=n)})
+        psd = welch_psd(trace, segment_length=segment_length, overlap_fraction=overlap,
+                        window=window)
+        nperseg = min(segment_length, n)
+        freqs, values = scipy.signal.welch(
+            trace.signals["x"], fs=1.0 / dt, window=window, nperseg=nperseg,
+            noverlap=int(nperseg * overlap), detrend=False, scaling="density")
+        np.testing.assert_allclose(psd.frequencies, freqs, rtol=1e-12)
+        np.testing.assert_allclose(psd.values, values, rtol=1e-12)
 
     def test_frequencies_start_at_zero_and_end_at_nyquist(self):
         rng = np.random.default_rng(2)

@@ -19,6 +19,7 @@ from hotbrownian import (
     simulate_esr,
     temperature_from_esr,
 )
+from hotbrownian.thermometry import _dips
 from hotbrownian.twobath import internal_temperature
 
 
@@ -225,6 +226,10 @@ class TestFitEsr:
         assert fit.C1 == fit.C2
         assert fit.D == pytest.approx(sweep.metadata["d_true"], abs=10.0)
         assert fit.uncertainties["E"] == 0.0
+        # The one dip fills both slots, its sigmas too.
+        unc = fit.uncertainties
+        assert unc["f1"] == unc["f2"] == unc["D"] > 0
+        assert unc["C1"] == unc["C2"] and unc["w1"] == unc["w2"]
 
     def test_shot_noise_round_trip_within_quoted_uncertainty(self, heating17):
         sweep = self.resolved_sweep(heating17, noise=1.0, seed=42, power=90.0)
@@ -232,6 +237,20 @@ class TestFitEsr:
         assert fit.converged
         assert abs(fit.D - sweep.metadata["d_true"]) < 5 * fit.uncertainties["D"]
         assert fit.uncertainties["D"] > 0
+
+    def test_dip_jacobian_matches_central_differences(self):
+        f = np.linspace(2.85e9, 2.89e9, 201)
+        p = np.array([1e5, 0.2, 2.865e9, 3e6, 0.25, 2.874e9, 2e6])
+        model, jac = _dips(f, p, jacobian=True)
+        np.testing.assert_array_equal(model, _dips(f, p))
+        for k in range(p.size):
+            step = 1e-7 * p[k]
+            hi, lo = p.copy(), p.copy()
+            hi[k] += step
+            lo[k] -= step
+            numeric = (_dips(f, hi) - _dips(f, lo)) / (hi[k] - lo[k])
+            np.testing.assert_allclose(jac[:, k], numeric, rtol=1e-5,
+                                       atol=1e-6 * np.abs(jac[:, k]).max())
 
     def test_rejects_short_sweeps(self):
         with pytest.raises(EstimationError, match="16"):
