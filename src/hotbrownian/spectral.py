@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import scipy.signal
 
 from ._leastsq import least_squares_gn
 from .errors import DomainError, EstimationError
@@ -48,13 +47,40 @@ class Psd:
     dt: float                            # [s]
 
 
+# Cosine-sum coefficients of the built-in windows, written as scipy writes
+# them (hamming's 1 - 0.54, not 0.46), so that the arrays come out
+# bit-identical to scipy's get_window.
+_COSINE_WINDOWS = {
+    "hann": (0.5, 1.0 - 0.5),
+    "hamming": (0.54, 1.0 - 0.54),
+    "blackman": (0.42, 0.50, 0.08),
+}
+
+
 @functools.lru_cache(maxsize=8)
 def _window(name: str, length: int) -> np.ndarray:
-    """Read-only window array, computed once per (name, length)."""
-    try:
-        win = scipy.signal.get_window(name, length)
-    except ValueError as exc:
-        raise DomainError(f"invalid window {name!r}: {exc}") from exc
+    """Read-only periodic window array, computed once per (name, length).
+
+    The cosine-sum windows of ``_COSINE_WINDOWS`` are built here with
+    scipy's general-cosine arithmetic; any other name goes through
+    :func:`scipy.signal.get_window`, imported on first use only.
+    """
+    coeffs = _COSINE_WINDOWS.get(name)
+    if coeffs is None:
+        import scipy.signal
+
+        try:
+            win = scipy.signal.get_window(name, length)
+        except ValueError as exc:
+            raise DomainError(f"invalid window {name!r}: {exc}") from exc
+    elif length <= 1:
+        win = np.ones(length)
+    else:
+        fac = np.linspace(-np.pi, np.pi, length + 1)
+        win = np.zeros(length + 1)
+        for k, a_k in enumerate(coeffs):
+            win += a_k * np.cos(k * fac)
+        win = win[:-1]
     win.flags.writeable = False
     return win
 
@@ -82,8 +108,9 @@ def welch_psd(
     overlap_fraction:
         Fractional segment overlap in [0, 1).
     window:
-        Window name understood by :func:`scipy.signal.get_window`; any
-        other raises :class:`DomainError`.
+        ``"hann"``, ``"hamming"`` and ``"blackman"`` are built in; any
+        other name goes through :func:`scipy.signal.get_window`, and
+        one it does not know raises :class:`DomainError`.
 
     Notes
     -----
@@ -115,7 +142,7 @@ def welch_psd(
     step = nperseg - noverlap
     n_segments = 1 + (signal.size - nperseg) // step
 
-    # Same estimate as scipy.signal.welch(detrend=False, scaling="density")
+    # Same estimate as scipy's welch(detrend=False, scaling="density")
     # to rounding, but with one rfft call per block of segments instead of
     # one per segment.  numpy's rfft gave the same bits as scipy.fft's
     # (numpy 2.4, scipy 1.17) but caches no plan: scipy.fft keeps one per
@@ -127,9 +154,11 @@ def welch_psd(
     values = np.zeros(nperseg // 2 + 1)
     for start in range(0, n_segments, block):
         spectrum = np.fft.rfft(segments[start:start + block] * win, axis=-1)
-        power = spectrum.real**2
-        power += spectrum.imag**2
-        values += power.sum(axis=0)
+        # |X|^2 summed over segments, on the interleaved (re, im) pairs.
+        v = spectrum.view(np.float64)
+        power = np.einsum("ij,ij->j", v, v)
+        values += power[0::2]
+        values += power[1::2]
     values *= 1.0 / (n_segments * (win * win).sum() / dt)
     values[1:(nperseg + 1) // 2] *= 2.0   # fold negative frequencies, not DC/Nyquist
     freqs = np.fft.rfftfreq(nperseg, dt)
@@ -340,8 +369,8 @@ def fit_psd(
     Raises
     ------
     DomainError
-        On an unknown ``noise_floor``, an inverted ``fit_band`` or
-        ``psd.dt <= 0``.
+        On an unknown ``noise_floor``, an inverted ``fit_band``,
+        ``psd.dt <= 0`` or a non-finite PSD value inside the fit band.
     """
     if noise_floor not in ("none", "fitted_constant"):
         raise DomainError(f"unknown noise_floor mode {noise_floor!r}")
@@ -361,6 +390,13 @@ def fit_psd(
     if f.size < 8:
         raise EstimationError(
             f"fit band contains only {f.size} bins; need at least 8"
+        )
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            f"PSD value {s[i]} at {f[i]:.6g} Hz (bin {np.flatnonzero(mask)[i]}) "
+            "is not finite"
         )
     if np.any(s <= 0):
         raise EstimationError("PSD values must be positive inside the fit band")

@@ -318,6 +318,18 @@ class TestErrorExits:
         assert code == 3
         assert "bad.csv" in err
 
+    def test_nan_psd_exits_3(self, tmp_path, capsys):
+        sim = write_json(tmp_path / "sim.json", {"duration_s": 0.01, "dt_s": 1e-6})
+        trace, psd = str(tmp_path / "trace.csv"), tmp_path / "psd.csv"
+        assert run(capsys, "simulate", "--config", sim, "--out", trace)[0] == 0
+        assert run(capsys, "psd", trace, "--out", str(psd))[0] == 0
+        lines = psd.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",nan"
+        psd.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "fit-psd", str(psd))
+        assert code == 3
+        assert "not finite" in err
+
     def test_cylinder_trace_simulation_exits_3(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", {
             "duration_s": 0.01, "dt_s": 1e-6,
@@ -449,8 +461,18 @@ class TestFlags:
 
 
 # =============================================================================
-# Memory
+# Fresh interpreters: heap memory and imports
 # =============================================================================
+
+def fresh_python(script, *args):
+    """Stdout of ``script`` run in a fresh interpreter on this package."""
+    src = str(Path(hotbrownian.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, check=True)
+    return done.stdout
+
 
 # Run in a fresh interpreter; prints the exit code and the free heap before
 # and after the command.
@@ -485,14 +507,33 @@ def test_command_hands_freed_heap_memory_back(tmp_path):
     """
     if getattr(ctypes.CDLL(None), "mallinfo2", None) is None:
         pytest.skip("needs glibc's mallinfo2")
-    src = str(Path(hotbrownian.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", _HEAP_SCRIPT, str(tmp_path / "missing.csv")],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    code, free_before, free_after = map(int, done.stdout.split())
+    out = fresh_python(_HEAP_SCRIPT, str(tmp_path / "missing.csv"))
+    code, free_before, free_after = map(int, out.split())
     assert code == 3
     assert free_before > 30e6
     assert free_before - free_after > 25e6
+
+
+# The trace chain of every CLI process, run in a fresh interpreter; prints
+# the scipy subpackages it loaded that the package must not need.
+_IMPORT_SCRIPT = """
+import sys
+import hotbrownian, hotbrownian.cli
+from hotbrownian import GasEnvironment, HeatingLaw, ParticleModel, SimulationConfig, Sphere
+from hotbrownian import TrapAxis, fit_psd, simulate_trace, welch_psd
+
+axis = TrapAxis(label="x", stiffness_coefficient=1.1e6, detection_gain=1e9)
+trace = simulate_trace(SimulationConfig(
+    dt=1e-6, duration=0.05, rng_seed=1, axes=(axis,), laser_power=0.1,
+    gas=GasEnvironment(pressure=45.0),
+    particle=ParticleModel(shape=Sphere(radius=500e-9), density=3500.0),
+    heating=HeatingLaw(kappa_heat=17.0, T0=294.0)))
+fit_psd(welch_psd(trace, segment_length=4096, window="hann"))
+print(" ".join(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules))
+"""
+
+
+def test_trace_chain_does_not_import_scipy_signal():
+    """Simulating, a Hann Welch PSD and its fit load neither scipy.signal
+    nor scipy.stats, which together take most of a bare import's time."""
+    assert fresh_python(_IMPORT_SCRIPT).split() == []

@@ -1,13 +1,16 @@
 """Tests for the Langevin trace simulator and its configuration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, strategies as st
 
 import hotbrownian as hb
 from hotbrownian import AnomalyInjection, ConfigError, SimulationConfig
+from hotbrownian import simulate
 from hotbrownian.simulate import (TimeTrace, _axis_truth, _exact_step_matrices,
                                   _sample_positions, simulate_trace)
 from hotbrownian.twobath import internal_temperature, sphere_drag, two_bath_tcom
@@ -270,6 +273,51 @@ class TestTraceStatistics:
         reference = np.random.default_rng(11)
         reference.standard_normal(n + 3)
         np.testing.assert_array_equal(rng.standard_normal(8), reference.standard_normal(8))
+
+    @pytest.mark.parametrize("omega0, gamma, dt", [
+        (2 * math.pi * 5.7e4, 1.1e4, 1e-6),            # underdamped, campaign scale
+        (2 * math.pi * 5.7e4, 3 * 2 * math.pi * 5.7e4, 2e-6),   # overdamped
+        (2 * math.pi * 4.8e5, 2e4, 1e-6),              # trap close to Nyquist
+    ], ids=["underdamped", "overdamped", "near_nyquist"])
+    @pytest.mark.parametrize("block", [None, 7], ids=["default_block", "block_7"])
+    def test_banded_solve_matches_a_linear_filter(
+        self, sphere_particle, monkeypatch, omega0, gamma, dt, block
+    ):
+        # The positions are the ARMA(2,1) filter of the innovations, with
+        # the start state (q_-1, q_-2, u_-1) as its initial conditions.
+        # Block 7 over 22 samples leaves a one-row last block.
+        if block is not None:
+            monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
+        n = 22 if block else 150_000
+        assert n > 2 * simulate._SOLVE_BLOCK
+        calls = []
+        solve = simulate._solve_arma
+
+        def spy(tr_p, det_p, theta, u, history):
+            calls.append((tr_p, det_p, theta, u.copy(), history))
+            return solve(tr_p, det_p, theta, u, history)
+
+        monkeypatch.setattr(simulate, "_solve_arma", spy)
+        q = _sample_positions(omega0, gamma, 300.0, sphere_particle.mass, dt, n,
+                              np.random.default_rng(8))
+        (tr_p, det_p, theta, u, (q1, q2, u1)), = calls
+        zi = [tr_p * q1 - det_p * q2 + theta * u1, -det_p * q1]
+        expected = scipy.signal.lfilter([1.0, theta], [1.0, -tr_p, det_p], u, zi=zi)[0]
+        assert np.max(np.abs(q - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_solve_workspace_does_not_grow_with_the_trace(self, sphere_particle):
+        # Past the innovations (returned in place) the solve keeps one
+        # block of band and right-hand side: well under one more sample
+        # array, where a band over the whole trace would take three.
+        n = 2**21
+        tracemalloc.start()
+        try:
+            _sample_positions(2 * math.pi * 5.7e4, 1.1e4, 300.0, sphere_particle.mass,
+                              1e-6, n, np.random.default_rng(9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 4e6
 
     def test_measurement_noise_adds_the_configured_floor(
         self, axes_pair, sphere_particle, heating17, gas45

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hotbrownian import DomainError, EstimationError, Psd, PsdFit, fit_psd, psd_model, welch_psd
 from hotbrownian._leastsq import least_squares_gn
 from hotbrownian.simulate import TimeTrace
-from hotbrownian.spectral import _fit_starts, _LineKernel
+from hotbrownian.spectral import _fit_starts, _LineKernel, _window
 
 
 FS = 1.0e6                               # sample rate of the model grids [Hz]
@@ -158,6 +158,16 @@ class TestWelch:
         for _ in range(2):
             with pytest.raises(DomainError, match="nosuchwindow"):
                 welch_psd(trace, window="nosuchwindow")
+
+    @pytest.mark.parametrize("name", ["hann", "hamming", "blackman"])
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 1000, 16384, 16385])
+    def test_built_in_windows_are_scipys_bits(self, name, length):
+        np.testing.assert_array_equal(_window(name, length),
+                                      scipy.signal.get_window(name, length))
+
+    def test_other_windows_come_from_scipy(self):
+        np.testing.assert_array_equal(_window("bartlett", 1000),
+                                      scipy.signal.get_window("bartlett", 1000))
 
 
 # =============================================================================
@@ -424,6 +434,14 @@ class TestFitValidation:
         df = model_grid()[1]
         with pytest.raises(EstimationError, match="at least 8"):
             fit_psd(self.small_psd(), fit_band=(10 * df, 14 * df))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values_in_band(self, bad):
+        f = model_grid()
+        values = psd_model(f, 1e-4, 1.8e5, 3e3, sample_rate=FS)
+        values[[100, 200]] = bad
+        with pytest.raises(DomainError, match=r"bin 100\)"):
+            fit_psd(make_psd(f, values))
 
     def test_rejects_non_positive_values_in_band(self):
         f = model_grid()
