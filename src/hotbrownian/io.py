@@ -6,6 +6,16 @@ with a ``.json`` extension.  :func:`read_trace` parses only the axes the
 caller asks for, so ``hotbrownian psd`` converts one column of a trace.
 Campaign reports serialize to one JSON document plus one CSV per
 figure-ready table, named by content.
+
+The ``t_s`` column of a trace holds the exact decimal ``i*D`` of row
+``i``, where ``D = repr(dt)``: an integer mantissa and a fixed exponent.
+At ``dt = 5e-7`` the rows read ``0e-7,...``, ``5e-7,...``,
+``10e-7,...``, and row 3 of a ``dt = 1.5e-6`` trace reads
+``45e-7,-1.2345678901234567e-09,...``.  A correctly rounded parse of a
+field gives the float nearest to ``i*D``.  A ``dt`` with a 17-digit
+repr such as ``1/3e6`` gives fields of up to about 27 characters, longer
+than ``%.17g`` would be but still exact.  :func:`read_trace` never
+parses the column, so traces written with ``%.17g`` times read the same.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import decimal
 import json
 import math
 from collections.abc import Sequence
@@ -63,20 +74,29 @@ def _dump_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
-def _write_columns(path, header: str, columns: list, meta: dict) -> Path:
+def _write_columns(path, header: str, columns: list, meta: dict,
+                   formats: Sequence[str] | None = None) -> Path:
     """Write ``columns`` as CSV under ``header`` and ``meta`` as its sidecar.
 
-    The text is that of ``np.savetxt(path, np.column_stack(columns),
-    delimiter=",", header=header, comments="", fmt=_FMT)``, formatted a
-    block of rows at a time without stacking all columns at once.
+    ``formats`` holds one printf format per column (``_FMT`` for each by
+    default).  The text is that of ``np.savetxt(path,
+    np.column_stack(columns), delimiter=",", header=header, comments="",
+    fmt=formats)``, formatted a block of rows at a time: each block's
+    columns are interleaved into one argument list for a single ``%``.
+    A column is a float array or a ``range`` of Python ints.
     """
     path = Path(path)
-    row = ",".join([_FMT] * len(columns)) + "\n"
+    width = len(columns)
+    row = ",".join(formats or [_FMT] * width) + "\n"
     with path.open("w") as handle:
         handle.write(header + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-            handle.write(row * len(block) % tuple(block.ravel().tolist()))
+            block = [c[start:start + _BLOCK_ROWS] for c in columns]
+            rows = len(block[0])
+            fields = [None] * (width * rows)
+            for j, part in enumerate(block):
+                fields[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            handle.write(row * rows % tuple(fields))
     _dump_json(meta, _sidecar(path))
     return _sidecar(path)
 
@@ -112,14 +132,28 @@ def write_trace(trace: TimeTrace, path) -> Path:
     """Write a trace as CSV (t_s, V<axis>...) with a JSON sidecar.
 
     Returns the sidecar path.  Values use 17 significant digits, so
-    :func:`read_trace` reproduces the samples bit-exactly.
+    :func:`read_trace` reproduces the samples bit-exactly; ``t_s`` is the
+    exact decimal ``i*repr(dt)`` (module docstring).  A ``dt`` that is
+    not a finite positive number, no axes, or axes of unequal length is
+    a DomainError.
     """
+    dt = float(trace.dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"trace sampling step dt must be finite and positive, got {dt!r}")
     labels = sorted(trace.signals.keys())
+    signals = [np.asarray(trace.signals[k], float) for k in labels]
+    lengths = {k: len(v) for k, v in zip(labels, signals)}
+    if len(set(lengths.values())) != 1:
+        raise DomainError(f"a trace needs axes of one length, got {lengths}")
+    # repr(dt) = m * 10**e exactly; row i's time is the integer i*m with
+    # exponent e.  Python ints, since i*m overflows int64 for 17-digit m.
+    _, digits, exponent = decimal.Decimal(repr(dt)).as_tuple()
+    mantissa = int("".join(map(str, digits)))
     meta = trace.metadata
     return _write_columns(
         path,
         ",".join(["t_s"] + [f"V{k}" for k in labels]),
-        [trace.times()] + [np.asarray(trace.signals[k], float) for k in labels],
+        [range(0, len(signals[0]) * mantissa, mantissa)] + signals,
         {
             "power_mW": meta.get("laser_power_mw"),
             "pressure_hPa": meta.get("pressure_hpa"),
@@ -128,6 +162,7 @@ def write_trace(trace: TimeTrace, path) -> Path:
             "axes": labels,
             "true_parameters": meta.get("true_parameters", {}),
         },
+        [f"%de{exponent}"] + [_FMT] * len(labels),
     )
 
 

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtbtrs
 
 from .core import (CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis,
                    trap_frequency, w_to_mw)
@@ -173,7 +171,11 @@ def _exact_step_matrices(omega0: float, gamma: float, diffusion: float, dt: floa
     velocity-noise intensity ``diffusion`` = 2*gamma*k_B*T/m, the Van
     Loan block exponential of [[-A, Q_c], [0, A^T]]*dt yields both
     Phi = exp(A dt) and Sigma = int_0^dt exp(As) Q_c exp(A^T s) ds.
+    scipy.linalg is imported here, not with the module, so processes that
+    only read and fit spectra never load it.
     """
+    import scipy.linalg
+
     block = np.zeros((4, 4))
     block[0, 1] = -1.0
     block[1, 0] = omega0**2
@@ -248,6 +250,8 @@ def _solve_arma(tr_p, det_p, theta, u, history) -> np.ndarray:
     each hands its last two positions and last innovation on as the
     next block's history.
     """
+    from scipy.linalg.lapack import dtbtrs
+
     q1, q2, u1 = history
     n = u.size
     band = np.empty((3, min(_SOLVE_BLOCK, n)), order="F")

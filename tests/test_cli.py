@@ -537,3 +537,29 @@ def test_trace_chain_does_not_import_scipy_signal():
     """Simulating, a Hann Welch PSD and its fit load neither scipy.signal
     nor scipy.stats, which together take most of a bare import's time."""
     assert fresh_python(_IMPORT_SCRIPT).split() == []
+
+
+# A process that only reads and fits spectra, run in a fresh interpreter;
+# the trace is white noise shaped by a Lorentzian in numpy, not simulated.
+# Prints whether scipy.linalg was loaded.
+_SPECTRUM_IMPORT_SCRIPT = """
+import sys
+import numpy as np
+import hotbrownian, hotbrownian.cli
+from hotbrownian import TimeTrace, fit_psd, read_psd, welch_psd, write_psd
+
+dt, n, f0, gamma = 1e-6, 2**16, 1.5e5, 2e4
+f = np.fft.rfftfreq(n, dt)
+shape = 1.0 / np.sqrt((f0**2 - f**2) ** 2 + (gamma * f) ** 2)
+noise = np.random.default_rng(1).standard_normal(n)
+trace = TimeTrace(dt=dt, signals={"x": np.fft.irfft(np.fft.rfft(noise) * shape, n)})
+write_psd(welch_psd(trace, segment_length=4096, window="hann"), sys.argv[1])
+fit_psd(read_psd(sys.argv[1]))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_spectrum_chain_does_not_import_scipy_linalg(tmp_path):
+    """The package, the CLI, reading, estimating and fitting a PSD leave
+    scipy.linalg unloaded; only trace simulation needs it."""
+    assert fresh_python(_SPECTRUM_IMPORT_SCRIPT, str(tmp_path / "psd.csv")).split() == ["False"]

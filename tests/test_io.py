@@ -1,8 +1,10 @@
 """Tests for CSV/JSON persistence of traces, spectra, laws, and reports."""
 
 import csv
+import decimal
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,33 +147,84 @@ class TestTraceIo:
             read_trace(path, axes=["x", "z"])
 
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-6, math.nan, math.inf])
+    def test_bad_sampling_step_is_a_domain_error(self, dt, tmp_path):
+        trace = hb.TimeTrace(dt=dt, signals={"x": np.zeros(4)})
+        with pytest.raises(DomainError, match="dt"):
+            write_trace(trace, tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_axes_of_unequal_length_are_a_domain_error(self, tmp_path):
+        trace = hb.TimeTrace(dt=1e-6, signals={"x": np.zeros(4), "y": np.zeros(5)})
+        with pytest.raises(DomainError, match="'x': 4, 'y': 5"):
+            write_trace(trace, tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_with_times_at_17_digits_still_reads(self, small_trace, tmp_path):
+        """A file whose t_s column holds ``%.17g`` times, as written before
+        the column became ``i*repr(dt)``, reads bit-exactly, in full and
+        as a subset."""
+        path = tmp_path / "trace.csv"
+        write_trace(small_trace, path)
+        x, y = small_trace.signals["x"], small_trace.signals["y"]
+        np.savetxt(path, np.column_stack([small_trace.times(), x, y]), delimiter=",",
+                   header="t_s,Vx,Vy", comments="", fmt="%.17g")
+        assert path.read_text().splitlines()[2].startswith("9.9999999999999995e-07,")
+        full, subset = read_trace(path), read_trace(path, axes=["y"])
+        for axis, samples in (("x", x), ("y", y)):
+            np.testing.assert_array_equal(full.signals[axis].view(np.uint64),
+                                          samples.view(np.uint64))
+        np.testing.assert_array_equal(subset.signals["y"].view(np.uint64), y.view(np.uint64))
+
+
+class TestTraceTimeColumn:
+    """``t_s`` of row i is the exact decimal i*repr(dt): ``f"{i*m}e{e}"``."""
+
+    @pytest.mark.parametrize("dt", [5e-7, 1e-6, 2.5e-9, 7.3e-5, 0.1, 1.0, 1 / 3e6])
+    def test_fields_are_exact_multiples_of_dt(self, dt, tmp_path):
+        n = 3000                     # i*m passes 2**63 at 1/3e6 (m has 17 digits)
+        path = tmp_path / "trace.csv"
+        trace = hb.TimeTrace(dt=dt, signals={"x": np.zeros(n)})
+        write_trace(trace, path)
+        _, digits, e = decimal.Decimal(repr(dt)).as_tuple()
+        m = int("".join(map(str, digits)))
+        fields = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert fields == [f"{i * m}e{e}" for i in range(n)]
+        parsed = [float(field) for field in fields]
+        assert parsed == [float(Fraction(i * m) * Fraction(10) ** e) for i in range(n)]
+        # The nearest float to i*repr(dt) is within two ulps of i*dt.
+        times = trace.times()
+        assert np.all(np.abs(np.array(parsed) - times) <= 2 * np.spacing(times))
+
+
 class TestBlockWriter:
-    """The block-formatted writer emits the bytes np.savetxt would."""
+    """The block-formatted writer emits the bytes np.savetxt would with the
+    same per-column formats: ``%.17g``, and ``%de<exponent>`` for the
+    mantissas of a trace's t_s column."""
 
     @staticmethod
     def write(kind, n, path):
-        """Write an n-row file of ``kind``; return its header and columns."""
+        """Write an n-row file of ``kind``; return its header, columns and formats."""
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal(n) * 1e-3, rng.exponential(1e4, n)
         if kind == "trace":
-            trace = hb.TimeTrace(dt=5e-7, signals={"x": a, "y": b})
-            write_trace(trace, path)
-            return "t_s,Vx,Vy", [trace.times(), a, b]
+            write_trace(hb.TimeTrace(dt=5e-7, signals={"x": a, "y": b}), path)
+            return "t_s,Vx,Vy", [5 * np.arange(n), a, b], ["%de-7", "%.17g", "%.17g"]
         f = np.linspace(2.87e9 - 3e7, 2.87e9 + 3e7, n)
         if kind == "psd":
             write_psd(hb.Psd(frequencies=f, values=b, segment_count=3,
                              window_name="hann", dt=5e-7), path)
-            return "f_Hz,S", [f, b]
+            return "f_Hz,S", [f, b], "%.17g"
         write_esr(hb.EsrSpectrum(microwave_frequencies=f, pl_counts=b), path)
-        return "f_Hz,counts", [f, b]
+        return "f_Hz,counts", [f, b], "%.17g"
 
     @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                    2 * _BLOCK_ROWS + 3])
     @pytest.mark.parametrize("kind", ["trace", "psd", "esr"])
     def test_bytes_match_savetxt(self, kind, n, tmp_path):
-        header, columns = self.write(kind, n, tmp_path / "new.csv")
+        header, columns, fmt = self.write(kind, n, tmp_path / "new.csv")
         np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
-                   header=header, comments="", fmt="%.17g")
+                   header=header, comments="", fmt=fmt)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
