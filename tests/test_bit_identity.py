@@ -1,6 +1,6 @@
 """Fixed-seed outputs stay what ``tests/bit_identity/expected.json`` holds.
 
-The campaign report and the CLI fit are recomputed by the script that
+The campaign report and the CLI fits are recomputed by the script that
 wrote the file (``tests/bit_identity/regenerate.py``, which says when and
 how to regenerate it).  Floats compare at a relative tolerance of 1e-12,
 not bit for bit, because other numpy and scipy releases may differ in
@@ -56,7 +56,7 @@ def expected():
     return json.loads(_SCRIPT.with_name("expected.json").read_text())
 
 
-@pytest.mark.parametrize("name", ["mini_campaign", "cli_fit_psd"])
+@pytest.mark.parametrize("name", ["mini_campaign", "cli_fit_psd", "cli_fit_esr"])
 def test_matches_the_recorded_output(name, outputs, expected):
     assert mismatches(outputs[name], expected[name]) == []
 
