@@ -8,6 +8,9 @@ config (--config) keyed by the parameters of the library call it makes
 or, where there is none, the bundled example in ``_EXAMPLE``.  Unknown
 keys, wrong-typed values and flags a command does not read are refused.
 
+Every command takes ``-v``/``--verbose``, which logs the toolkit's
+progress (INFO and above of the ``hotbrownian`` logger) to stderr.
+
 Exit codes: 0 success, 2 fit/calibration failure, 3 invalid configuration,
 usage, or unreadable or malformed file.  Any other exception is a bug: a
 traceback.
@@ -21,6 +24,7 @@ import ctypes
 import dataclasses
 import inspect
 import json
+import logging
 import math
 import os
 import sys
@@ -369,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         if takes_input:
             p.add_argument("input", nargs="?", default=None, help=takes_input)
         p.add_argument("--config", help="JSON configuration file")
+        p.add_argument("-v", "--verbose", action="store_true",
+                       help="log progress (INFO) to stderr")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
@@ -392,8 +398,16 @@ _MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "po
 
 
 def main(argv=None) -> int:
+    logger = logging.getLogger("hotbrownian")
+    level, handler = logger.level, None
     try:
         args = build_parser().parse_args(argv)
+        if args.verbose:
+            # For this call only, so repeated in-process calls add nothing.
+            handler = logging.StreamHandler(sys.stderr)
+            handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+            logger.addHandler(handler)
+            logger.setLevel(logging.INFO)
         return args.func(args)
     except (CalibrationError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -402,6 +416,9 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
     finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
         # glibc keeps the tens of MB a trace command frees resident, or not,
         # by the order of earlier allocations: a process running several
         # commands peaked 30 MB higher in some runs than in others.

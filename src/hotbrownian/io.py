@@ -1,17 +1,24 @@
 """File formats: traces, spectra, splitting laws, campaign reports.
 
-Arrays go to CSV with 17 significant digits (bit-exact float64 round
-trips); scalars and provenance go to JSON sidecars named after the CSV
-with a ``.json`` extension.  :func:`read_trace` parses only the axes the
-caller asks for, so ``hotbrownian psd`` converts one column of a trace.
+Arrays go to CSV as exact decimals: each float field holds the value's
+17 correctly rounded significant digits, enough to give back any float64
+bit for bit, written as an integer mantissa with its trailing zeros
+stripped and a decimal exponent.  ``-0.22926543811155883`` is written
+``-22926543811155883e-17``, ``2870000000.0`` is ``287e7``, an ESR count
+of ``99981.0`` is ``99981``, and ``-0.0``, ``nan``, ``inf`` and ``-inf``
+are ``-0``, ``nan``, ``inf`` and ``-inf``.  It is plain decimal float
+syntax, which ``float``, ``np.loadtxt`` and ``np.genfromtxt`` parse.
+Scalars and provenance go to JSON sidecars named after the CSV with a
+``.json`` extension.  :func:`read_trace` parses only the axes the caller
+asks for, so ``hotbrownian psd`` converts one column of a trace.
 Campaign reports serialize to one JSON document plus one CSV per
-figure-ready table, named by content.
+figure-ready table, named by content; their fields use ``%.17g``.
 
 The ``t_s`` column of a trace holds the exact decimal ``i*D`` of row
 ``i``, where ``D = repr(dt)``: an integer mantissa and a fixed exponent.
 At ``dt = 5e-7`` the rows read ``0e-7,...``, ``5e-7,...``,
 ``10e-7,...``, and row 3 of a ``dt = 1.5e-6`` trace reads
-``45e-7,-1.2345678901234567e-09,...``.  A correctly rounded parse of a
+``45e-7,-12345678901234567e-25,...``.  A correctly rounded parse of a
 field gives the float nearest to ``i*D``.  A ``dt`` with a 17-digit
 repr such as ``1/3e6`` gives fields of up to about 27 characters, longer
 than ``%.17g`` would be but still exact.  :func:`read_trace` never
@@ -52,8 +59,7 @@ __all__ = [
     "write_cylinder_k_csv",
 ]
 
-_FMT = "%.17g"               # fixed 17 significant digits: exact for float64
-_BLOCK_ROWS = 16384          # rows per % call; larger blocks add to peak memory
+_BLOCK_ROWS = 4096           # rows per % call; larger blocks add to peak memory
 
 
 def _sidecar(path: Path) -> Path:
@@ -74,28 +80,176 @@ def _dump_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
-def _write_columns(path, header: str, columns: list, meta: dict,
-                   formats: Sequence[str] | None = None) -> Path:
+# =============================================================================
+# Exact decimal fields
+# =============================================================================
+#
+# A finite x with 1e-26 <= |x| < 1e16 is encoded a block at a time in
+# numpy.  With p = 16 - floor(log10|x|), Dekker's exact product gives
+# hi + lo = |x|*10**p exactly, and N = hi + rint(lo) is that product
+# rounded half-even to an integer (hi >= 2**53 is itself an integer).
+# N holds the 17 significant digits when 10**16 <= |x|*10**p < 10**17;
+# a log10 one decade off is corrected by redoing the value at p +- 1.
+# 10**p is an exact float up to p = 22; beyond, the two parts of the
+# product at 10**22 are each multiplied exactly by 10**(p - 22), and the
+# three small parts are summed in floats, so a value whose sum lies
+# within 1e-12 of a half is left to the exact path.  Every other value
+# takes the exact path: ``float.as_integer_ratio`` and Python integers.
+
+_TEN = 10.0 ** np.arange(23)         # exact float64 powers 10**0 .. 10**22
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two 26-bit halves, ``a == hi + lo``."""
+    c = 134217729.0 * a              # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_TEN_HI, _TEN_LO = _split(_TEN)
+
+
+def _two_product(a, k):
+    """``hi, lo`` with ``hi + lo == a * 10**k`` exactly (Dekker 1971), 0 <= k <= 22."""
+    hi = a * _TEN[k]
+    a1, a2 = _split(a)
+    b1, b2 = _TEN_HI[k], _TEN_LO[k]
+    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _scaled(a, p):
+    """``a * 10**p`` rounded half-even to int64, for 0 <= p <= 44, and a
+    mask of the values whose rounding the float sum left undecided."""
+    hi, lo = _two_product(a, np.minimum(p, 22))
+    unsure = np.zeros(a.shape, bool)
+    big = np.flatnonzero(p > 22)
+    if big.size:
+        q = p[big] - 22
+        h2, l2 = _two_product(hi[big], q)
+        h3, l3 = _two_product(lo[big], q)
+        rest = (l2 + h3) + l3
+        hi[big], lo[big] = h2, rest
+        unsure[big] = np.abs(rest - np.floor(rest) - 0.5) < 1e-12
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), unsure
+
+
+def _digits17(a):
+    """``N, p, unsure`` with ``N`` the 17 significant digits of ``a * 10**p``
+    (``N`` is ``10**17`` when they round up to it), for 1e-26 <= a < 1e16."""
+    p = 16 - np.floor(np.log10(a)).astype(np.int64)
+    n, unsure = _scaled(a, p)
+    # The product below 10**16 (it may round up to exactly 10**16): one
+    # more digit.  N == 10**16 at p is right unless p + 1 gives fewer
+    # than 10**17.
+    low = np.flatnonzero(n <= 10**16)
+    if low.size:
+        n2, u2 = _scaled(a[low], p[low] + 1)
+        keep = n2 < 10**17
+        low = low[keep]
+        n[low], unsure[low], p[low] = n2[keep], u2[keep], p[low] + 1
+    high = np.flatnonzero(n > 10**17)
+    if high.size:
+        p[high] -= 1
+        n[high], unsure[high] = _scaled(a[high], p[high])
+    return n, p, unsure
+
+
+def _suffix(exponent: int) -> str:
+    return f"e{exponent}" if exponent else ""
+
+
+_SUFFIX_MIN = -44                    # the fast path's exponents: -44 .. 17
+_SUFFIXES = np.array([_suffix(e) for e in range(_SUFFIX_MIN, 18)], dtype=object)
+
+
+def _exact_field(x: float) -> tuple[str, str]:
+    """Mantissa and suffix of one value, in Python integer arithmetic."""
+    if not math.isfinite(x) or x == 0.0:
+        return "%.17g" % x, ""       # nan, inf, -inf, 0, -0
+    n, d = abs(x).as_integer_ratio()
+    p = 16 - math.floor(math.log10(abs(x)))
+    while True:
+        num, den = (n * 10**p, d) if p >= 0 else (n, d * 10**-p)
+        if num < 10**16 * den:
+            p += 1
+        elif num >= 10**17 * den:
+            p -= 1
+        else:
+            break
+    q, r = divmod(num, den)
+    q += 2 * r > den or (2 * r == den and q & 1)
+    while q % 10 == 0:
+        q //= 10
+        p -= 1
+    return ("-" if x < 0 else "") + str(q), _suffix(-p)
+
+
+def _decimal_fields(values: np.ndarray) -> tuple[list, list]:
+    """Per value, the integer mantissa and the exponent suffix (``""`` or
+    ``"e<exp>"``) of its exact 17-digit decimal, trailing zeros stripped.
+
+    ``"%s%s" % (mantissa, suffix)`` is the field.  A value outside the
+    numpy path (module comment above), and -0, nan and +-inf, has a
+    string mantissa from :func:`_exact_field`.
+    """
+    x = np.asarray(values, dtype=float)
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        fast = np.flatnonzero((a >= 1e-26) & (a < 1e16))
+    n, p, unsure = _digits17(a[fast])
+    exponent = -p
+    zeros = np.flatnonzero(n % 10 == 0)
+    if zeros.size:
+        nz, ez = n[zeros], exponent[zeros]
+        for k in (16, 8, 4, 2, 1):
+            divisible = nz % 10**k == 0
+            nz[divisible] //= 10**k
+            ez[divisible] += k
+        n[zeros], exponent[zeros] = nz, ez
+    mantissas = np.zeros(x.shape, np.int64)
+    exponents = np.zeros(x.shape, np.int64)
+    mantissas[fast] = np.where(x[fast] < 0, -n, n)
+    exponents[fast] = exponent
+    mantissas = mantissas.tolist()
+    suffixes = _SUFFIXES[exponents - _SUFFIX_MIN].tolist()
+    slow = np.ones(x.shape, bool)
+    slow[fast[~unsure]] = False
+    for i in np.flatnonzero(slow).tolist():
+        mantissas[i], suffixes[i] = _exact_field(float(x[i]))
+    return mantissas, suffixes
+
+
+# =============================================================================
+# Columns
+# =============================================================================
+
+def _write_columns(path, header: str, columns: list, meta: dict) -> Path:
     """Write ``columns`` as CSV under ``header`` and ``meta`` as its sidecar.
 
-    ``formats`` holds one printf format per column (``_FMT`` for each by
-    default).  The text is that of ``np.savetxt(path,
-    np.column_stack(columns), delimiter=",", header=header, comments="",
-    fmt=formats)``, formatted a block of rows at a time: each block's
-    columns are interleaved into one argument list for a single ``%``.
-    A column is a float array or a ``range`` of Python ints.
+    A column is a float array, written as exact decimals
+    (:func:`_decimal_fields`), or a pair ``(mantissas, suffix)`` of a
+    ``range`` of Python ints and a fixed exponent suffix, written
+    ``"%d" + suffix``.  A block of rows at a time, the columns' fields
+    are interleaved into one argument list for a single ``%``.
     """
     path = Path(path)
-    width = len(columns)
-    row = ",".join(formats or [_FMT] * width) + "\n"
+    row = ",".join("%d" + c[1] if isinstance(c, tuple) else "%s%s" for c in columns) + "\n"
+    width = sum(1 if isinstance(c, tuple) else 2 for c in columns)
+    length = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
     with path.open("w") as handle:
         handle.write(header + "\n")
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [c[start:start + _BLOCK_ROWS] for c in columns]
-            rows = len(block[0])
+        for start in range(0, length, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, length)
+            rows = stop - start
             fields = [None] * (width * rows)
-            for j, part in enumerate(block):
-                fields[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            j = 0
+            for column in columns:
+                if isinstance(column, tuple):
+                    fields[j::width] = column[0][start:stop]
+                    j += 1
+                else:
+                    fields[j::width], fields[j + 1::width] = _decimal_fields(column[start:stop])
+                    j += 2
             handle.write(row * rows % tuple(fields))
     _dump_json(meta, _sidecar(path))
     return _sidecar(path)
@@ -131,11 +285,11 @@ def _read_columns(path) -> tuple[np.ndarray, dict]:
 def write_trace(trace: TimeTrace, path) -> Path:
     """Write a trace as CSV (t_s, V<axis>...) with a JSON sidecar.
 
-    Returns the sidecar path.  Values use 17 significant digits, so
-    :func:`read_trace` reproduces the samples bit-exactly; ``t_s`` is the
-    exact decimal ``i*repr(dt)`` (module docstring).  A ``dt`` that is
-    not a finite positive number, no axes, or axes of unequal length is
-    a DomainError.
+    Returns the sidecar path.  Each voltage is the exact decimal of its
+    17 significant digits (module docstring), so :func:`read_trace`
+    reproduces the samples bit-exactly; ``t_s`` is the exact decimal
+    ``i*repr(dt)``.  A ``dt`` that is not a finite positive number, no
+    axes, or axes of unequal length is a DomainError.
     """
     dt = float(trace.dt)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -153,7 +307,7 @@ def write_trace(trace: TimeTrace, path) -> Path:
     return _write_columns(
         path,
         ",".join(["t_s"] + [f"V{k}" for k in labels]),
-        [range(0, len(signals[0]) * mantissa, mantissa)] + signals,
+        [(range(0, len(signals[0]) * mantissa, mantissa), f"e{exponent}")] + signals,
         {
             "power_mW": meta.get("laser_power_mw"),
             "pressure_hPa": meta.get("pressure_hpa"),
@@ -162,7 +316,6 @@ def write_trace(trace: TimeTrace, path) -> Path:
             "axes": labels,
             "true_parameters": meta.get("true_parameters", {}),
         },
-        [f"%de{exponent}"] + [_FMT] * len(labels),
     )
 
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import hotbrownian
 from hotbrownian import default_zfs_law, simulate_esr, write_esr
-from hotbrownian.cli import main
+from hotbrownian.cli import build_parser, main
 from hotbrownian.twobath import HeatingLaw, internal_temperature
 
 
@@ -211,6 +212,32 @@ class TestCampaignCommand:
         assert (outdir / "report.json").exists()
         assert (outdir / "coupling_vs_pressure.csv").exists()
 
+    def test_verbose_logs_each_pressure_to_stderr(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "camp.json", {
+            "pressures_hpa": [45.0, 100.0],
+            "laser_powers_mw": [30.0, 90.0, 150.0],
+            "repetitions": 0,
+            "duration_s": 0.01,
+            "dt_s": 1e-6,
+            "thermometry_only": True,
+        })
+        argv = ["campaign", "--config", cfg, "--out", str(tmp_path), "--format", "json"]
+        code, quiet_out, quiet_err = run(capsys, *argv)
+        assert code == 0
+        assert quiet_err == ""
+        logger = logging.getLogger("hotbrownian")
+        handlers = list(logger.handlers)
+        for _ in range(2):           # a second call logs each line once too
+            code, out, err = run(capsys, *argv, "-v")
+            assert code == 0
+            assert out == quiet_out
+            assert err.splitlines() == [
+                "INFO hotbrownian.pipeline: campaign: pressure 45 hPa",
+                "INFO hotbrownian.pipeline: campaign: pressure 100 hPa",
+            ]
+        assert logger.handlers == handlers
+        assert run(capsys, *argv)[1:] == (quiet_out, "")
+
     def test_json_format_skips_tables(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "camp.json", {
             "pressures_hpa": [45.0, 100.0],
@@ -363,6 +390,10 @@ VALID_KEY = {
 
 class TestConfigChecks:
     @pytest.mark.parametrize("command", sorted(VALID_KEY))
+    def test_every_command_takes_verbose(self, command):
+        assert build_parser().parse_args([command, "-v"]).verbose is True
+
+    @pytest.mark.parametrize("command", sorted(VALID_KEY))
     def test_unknown_key_exits_3_naming_the_valid_keys(self, command, tmp_path, capsys):
         for key in ("no_such_key",) + GONE_KEYS.get(command, ()):
             cfg = write_json(tmp_path / "cfg.json", {key: 1})
@@ -479,7 +510,7 @@ def fresh_python(script, *args):
 _HEAP_SCRIPT = """
 import ctypes, sys
 import numpy as np
-from hotbrownian.cli import main
+from hotbrownian.cli import build_parser, main
 
 class MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (

@@ -4,10 +4,12 @@ import csv
 import decimal
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hotbrownian as hb
 from hotbrownian import (
@@ -197,35 +199,142 @@ class TestTraceTimeColumn:
         assert np.all(np.abs(np.array(parsed) - times) <= 2 * np.spacing(times))
 
 
+def reference_field(x: float) -> str:
+    """The exact decimal field of ``x``, from the ``decimal`` module: 17
+    significant digits rounded half-even, trailing zeros stripped, as an
+    integer mantissa with an ``e<exponent>`` suffix unless that is 0;
+    ``%.17g`` for 0, -0, nan and +-inf."""
+    if not math.isfinite(x) or x == 0.0:
+        return "%.17g" % x
+    context = decimal.Context(prec=17, rounding=decimal.ROUND_HALF_EVEN)
+    sign, digits, exponent = context.plus(decimal.Decimal(x)).normalize(context).as_tuple()
+    return ("-" if sign else "") + "".join(map(str, digits)) + (f"e{exponent}" if exponent else "")
+
+
+FIELD = re.compile(r"-?\d+(e-?\d+)?|nan|inf|-inf|-0")
+
+
 class TestBlockWriter:
-    """The block-formatted writer emits the bytes np.savetxt would with the
-    same per-column formats: ``%.17g``, and ``%de<exponent>`` for the
-    mantissas of a trace's t_s column."""
+    """The block-formatted writer emits the bytes np.savetxt writes for the
+    header, the ``%de<exponent>`` mantissas of a trace's t_s column and the
+    reference text of every float (:func:`reference_field`)."""
 
     @staticmethod
     def write(kind, n, path):
-        """Write an n-row file of ``kind``; return its header, columns and formats."""
+        """Write an n-row file of ``kind``; return its header, time
+        mantissas and time format (None but for a trace) and float columns."""
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal(n) * 1e-3, rng.exponential(1e4, n)
         if kind == "trace":
             write_trace(hb.TimeTrace(dt=5e-7, signals={"x": a, "y": b}), path)
-            return "t_s,Vx,Vy", [5 * np.arange(n), a, b], ["%de-7", "%.17g", "%.17g"]
+            return "t_s,Vx,Vy", 5 * np.arange(n), "%de-7", [a, b]
         f = np.linspace(2.87e9 - 3e7, 2.87e9 + 3e7, n)
         if kind == "psd":
             write_psd(hb.Psd(frequencies=f, values=b, segment_count=3,
                              window_name="hann", dt=5e-7), path)
-            return "f_Hz,S", [f, b], "%.17g"
+            return "f_Hz,S", None, None, [f, b]
         write_esr(hb.EsrSpectrum(microwave_frequencies=f, pl_counts=b), path)
-        return "f_Hz,counts", [f, b], "%.17g"
+        return "f_Hz,counts", None, None, [f, b]
 
-    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                   2 * _BLOCK_ROWS + 3])
+    # Row counts at and around block boundaries: 4 blocks less one row,
+    # 4 blocks, 4 blocks and one row, 8 blocks and a partial one.
+    @pytest.mark.parametrize("n", [1, 4 * _BLOCK_ROWS - 1, 4 * _BLOCK_ROWS,
+                                   4 * _BLOCK_ROWS + 1, 8 * _BLOCK_ROWS + 3])
     @pytest.mark.parametrize("kind", ["trace", "psd", "esr"])
     def test_bytes_match_savetxt(self, kind, n, tmp_path):
-        header, columns, fmt = self.write(kind, n, tmp_path / "new.csv")
-        np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
+        header, times, time_fmt, floats = self.write(kind, n, tmp_path / "new.csv")
+        text = np.array([[reference_field(v) for v in c.tolist()] for c in floats],
+                        dtype=object).T
+        columns, fmt = [text], ["%s"] * len(floats)
+        if times is not None:
+            columns, fmt = [times.astype(object)[:, None], text], [time_fmt] + fmt
+        np.savetxt(tmp_path / "ref.csv", np.hstack(columns), delimiter=",",
                    header=header, comments="", fmt=fmt)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+        rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
+        fields = [row.split(",")[-len(floats):] for row in rows]
+        for j, column in enumerate(floats):
+            written = [f[j] for f in fields]
+            assert all(FIELD.fullmatch(f) for f in written)
+            parsed = np.array([float(f) for f in written])
+            np.testing.assert_array_equal(parsed.view(np.uint64), column.view(np.uint64))
+
+
+# Finite doubles of every exponent and sign, subnormals and the extremes,
+# plus nan, +-inf and +-0.
+ANY_FLOATS = st.lists(st.floats(width=64), min_size=1, max_size=50)
+
+
+def same_values(back: np.ndarray, values: np.ndarray) -> bool:
+    """Finite values bit for bit (the sign of zero too), nan as nan."""
+    nan = np.isnan(values)
+    return bool(np.array_equal(np.isnan(back), nan)
+                and np.array_equal(back[~nan].view(np.uint64), values[~nan].view(np.uint64)))
+
+
+class TestDecimalFields:
+    """Every float field is the exact decimal of the value's 17 significant
+    digits and reads back bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=ANY_FLOATS)
+    def test_psd_round_trip_of_any_double(self, values, tmp_path_factory):
+        values = np.array(values)
+        path = tmp_path_factory.mktemp("psd") / "psd.csv"
+        write_psd(hb.Psd(frequencies=values[::-1].copy(), values=values, segment_count=1,
+                         window_name="hann", dt=1e-6), path)
+        back = read_psd(path)
+        assert same_values(back.values, values)
+        assert same_values(back.frequencies, values[::-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=ANY_FLOATS)
+    def test_trace_round_trip_of_any_double(self, values, tmp_path_factory):
+        values = np.array(values)
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace(hb.TimeTrace(dt=1e-6, signals={"x": values, "y": -values}), path)
+        back = read_trace(path)
+        assert same_values(back.signals["x"], values)
+        assert same_values(back.signals["y"], -values)
+
+    @pytest.mark.parametrize("k", range(-30, 30))
+    def test_neighbours_of_powers_of_ten(self, k, tmp_path):
+        """The 200 doubles on each side of 10**k (where the digit count
+        changes) and 10**k itself: the reference text, read back exactly."""
+        power = float(f"1e{k}")
+        values = [power]
+        up = down = power
+        for _ in range(200):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            values += [up, down]
+        values = np.array(values + [-v for v in values])
+        path = tmp_path / "psd.csv"
+        write_psd(hb.Psd(frequencies=values, values=values, segment_count=1,
+                         window_name="hann", dt=1e-6), path)
+        fields = [row.split(",")[1] for row in path.read_text().splitlines()[1:]]
+        assert fields == [reference_field(v) for v in values.tolist()]
+        np.testing.assert_array_equal(read_psd(path).values.view(np.uint64),
+                                      values.view(np.uint64))
+
+    @pytest.mark.parametrize("value, field", [
+        (-0.22926543811155883, "-22926543811155883e-17"),
+        (99981.0, "99981"),
+        (2.87e9, "287e7"),
+        (1e-13, "1e-13"),
+        (9.999999999999999e-06, "99999999999999991e-22"),
+        (3 * 2.0**-24, "17881393432617188e-23"),      # a tie past 10**22, to even
+        (1e300, "10000000000000001e284"),
+        (1e22, "1e22"),
+        (5e-324, "49406564584124654e-340"),
+        (0.0, "0"), (-0.0, "-0"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    ])
+    def test_examples(self, value, field, tmp_path):
+        path = tmp_path / "esr.csv"
+        write_esr(hb.EsrSpectrum(microwave_frequencies=np.array([1.0]),
+                                 pl_counts=np.array([value])), path)
+        assert path.read_text().splitlines()[1] == f"1,{field}"
+        assert field == reference_field(value)
 
 
 # =============================================================================
