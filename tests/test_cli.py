@@ -510,7 +510,7 @@ def fresh_python(script, *args):
 _HEAP_SCRIPT = """
 import ctypes, sys
 import numpy as np
-from hotbrownian.cli import build_parser, main
+from hotbrownian.cli import main
 
 class MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
