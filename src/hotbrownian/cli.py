@@ -8,8 +8,8 @@ config (--config) keyed by the parameters of the library call it makes
 or, where there is none, the bundled example in ``_EXAMPLE``.  Unknown
 keys, wrong-typed values and flags a command does not read are refused.
 
-Every command takes ``-v``/``--verbose``, which logs the toolkit's
-progress (INFO and above of the ``hotbrownian`` logger) to stderr.
+``campaign`` takes ``-v``/``--verbose``, which logs its progress (INFO
+and above of the ``hotbrownian`` logger, one line per pressure) to stderr.
 
 Exit codes: 0 success, 2 fit/calibration failure, 3 invalid configuration,
 usage, or unreadable or malformed file.  Any other exception is a bug: a
@@ -373,11 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
         if takes_input:
             p.add_argument("input", nargs="?", default=None, help=takes_input)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("-v", "--verbose", action="store_true",
-                       help="log progress (INFO) to stderr")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
+        return p
 
     add("simulate", cmd_simulate, "simulate a detector time trace", "--seed", "--out")
     add("psd", cmd_psd, "Welch PSD of a stored trace", "--axis", "--out",
@@ -388,8 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("calibrate", cmd_calibrate, "zero-power calibration from a sweep table",
         takes_input="normalized-area table CSV")
     add("extract-k", cmd_extract_k, "coupling constant from matched series")
-    add("campaign", cmd_campaign, "run a full measurement campaign",
-        "--seed", "--out", "--format")
+    campaign = add("campaign", cmd_campaign, "run a full measurement campaign",
+                   "--seed", "--out", "--format")
+    campaign.add_argument("-v", "--verbose", action="store_true",
+                          help="log each pressure (INFO) to stderr")
     add("cylinder-k", cmd_cylinder_k, "cylinder coupling constants and anisotropy", "--out")
     return parser
 
@@ -402,7 +403,7 @@ def main(argv=None) -> int:
     level, handler = logger.level, None
     try:
         args = build_parser().parse_args(argv)
-        if args.verbose:
+        if getattr(args, "verbose", False):
             # For this call only, so repeated in-process calls add nothing.
             handler = logging.StreamHandler(sys.stderr)
             handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))

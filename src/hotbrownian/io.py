@@ -94,7 +94,7 @@ def _dump_json(payload: dict, path: Path) -> None:
 # product at 10**22 are each multiplied exactly by 10**(p - 22), and the
 # three small parts are summed in floats, so a value whose sum lies
 # within 1e-12 of a half is left to the exact path.  Every other value
-# takes the exact path: ``float.as_integer_ratio`` and Python integers.
+# takes the exact path: the ``decimal`` module, value by value.
 
 _TEN = 10.0 ** np.arange(23)         # exact float64 powers 10**0 .. 10**22
 
@@ -160,28 +160,15 @@ def _suffix(exponent: int) -> str:
 
 _SUFFIX_MIN = -44                    # the fast path's exponents: -44 .. 17
 _SUFFIXES = np.array([_suffix(e) for e in range(_SUFFIX_MIN, 18)], dtype=object)
+_DIGITS17 = decimal.Context(prec=17, rounding=decimal.ROUND_HALF_EVEN)
 
 
 def _exact_field(x: float) -> tuple[str, str]:
-    """Mantissa and suffix of one value, in Python integer arithmetic."""
+    """Mantissa and suffix of one value, from the ``decimal`` module."""
     if not math.isfinite(x) or x == 0.0:
         return "%.17g" % x, ""       # nan, inf, -inf, 0, -0
-    n, d = abs(x).as_integer_ratio()
-    p = 16 - math.floor(math.log10(abs(x)))
-    while True:
-        num, den = (n * 10**p, d) if p >= 0 else (n, d * 10**-p)
-        if num < 10**16 * den:
-            p += 1
-        elif num >= 10**17 * den:
-            p -= 1
-        else:
-            break
-    q, r = divmod(num, den)
-    q += 2 * r > den or (2 * r == den and q & 1)
-    while q % 10 == 0:
-        q //= 10
-        p -= 1
-    return ("-" if x < 0 else "") + str(q), _suffix(-p)
+    sign, digits, exponent = _DIGITS17.plus(decimal.Decimal(x)).normalize(_DIGITS17).as_tuple()
+    return ("-" if sign else "") + "".join(map(str, digits)), _suffix(exponent)
 
 
 def _decimal_fields(values: np.ndarray) -> tuple[list, list]:

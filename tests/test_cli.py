@@ -13,7 +13,7 @@ import pytest
 
 import hotbrownian
 from hotbrownian import default_zfs_law, simulate_esr, write_esr
-from hotbrownian.cli import build_parser, main
+from hotbrownian.cli import main
 from hotbrownian.twobath import HeatingLaw, internal_temperature
 
 
@@ -389,10 +389,6 @@ VALID_KEY = {
 
 
 class TestConfigChecks:
-    @pytest.mark.parametrize("command", sorted(VALID_KEY))
-    def test_every_command_takes_verbose(self, command):
-        assert build_parser().parse_args([command, "-v"]).verbose is True
-
     @pytest.mark.parametrize("command", sorted(VALID_KEY))
     def test_unknown_key_exits_3_naming_the_valid_keys(self, command, tmp_path, capsys):
         for key in ("no_such_key",) + GONE_KEYS.get(command, ()):
