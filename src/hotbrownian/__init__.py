@@ -45,15 +45,12 @@ from .pipeline import (
     CampaignConfig,
     CampaignReport,
     ClassificationThresholds,
-    EnergyPoint,
     EsrSettings,
     HbmEstimate,
-    KEstimate,
     KMeasurement,
     PowerSweepPoint,
     calibrate,
     classify_overheating,
-    com_energy,
     extract_k,
     hydrodynamic_radius,
     run_campaign,
@@ -118,10 +115,10 @@ __all__ = [
     "TemperatureEstimate", "TemperaturePoint", "HeatingFit",
     "fit_esr", "temperature_from_esr", "fit_heating_law",
     # pipeline
-    "PowerSweepPoint", "CalibrationResult", "EnergyPoint", "KEstimate",
+    "PowerSweepPoint", "CalibrationResult",
     "KMeasurement", "ClassificationThresholds", "HbmEstimate",
     "EsrSettings", "CampaignConfig", "CampaignReport",
-    "calibrate", "com_energy", "extract_k", "classify_overheating",
+    "calibrate", "extract_k", "classify_overheating",
     "hydrodynamic_radius", "run_campaign",
     # persistence
     "write_trace", "read_trace", "write_psd", "read_psd",

@@ -8,6 +8,10 @@ config (--config) keyed by the parameters of the library call it makes
 or, where there is none, the bundled example in ``_EXAMPLE``.  Unknown
 keys, wrong-typed values and flags a command does not read are refused.
 
+``calibrate`` and ``extract-k`` read the same input, a table of PSD fits
+like a campaign's ``normalized_area_vs_power.csv``; ``extract-k`` also
+needs a ``temperature`` series of ESR temperatures at the table's powers.
+
 ``campaign`` takes ``-v``/``--verbose``, which logs its progress (INFO
 and above of the ``hotbrownian`` logger, one line per pressure) to stderr.
 
@@ -38,7 +42,7 @@ from .core import Cylinder, GasEnvironment, ParticleModel, Sphere, mw_to_w
 from .errors import CalibrationError, ConfigError, DomainError, EstimationError
 from .io import (_cylinder_row, _malformed, load_zfs_law, read_esr, read_psd, read_trace,
                  write_cylinder_k_csv, write_psd, write_report, write_trace)
-from .pipeline import (CampaignConfig, EnergyPoint, PowerSweepPoint, calibrate,
+from .pipeline import (CalibrationResult, CampaignConfig, PowerSweepPoint, calibrate,
                        extract_k, run_campaign)
 from .simulate import SimulationConfig, simulate_trace
 from .spectral import PsdFit, fit_psd, welch_psd
@@ -262,10 +266,17 @@ def cmd_fit_esr(args) -> int:
     return _print_fit(payload, fit.converged)
 
 
-def cmd_calibrate(args) -> int:
-    keys = _keys(calibrate, sweep=None)
-    cfg = _config(args, {**keys, "pressure_hpa": _Key("pressure_hpa", float)},
-                  input_key="points_csv")
+# The keys of the commands that calibrate an area table: calibrate's
+# own and the pressure whose rows to keep.
+_CALIBRATE = _keys(calibrate, sweep=None)
+_AREA_TABLE = {**_CALIBRATE, "pressure_hpa": _Key("pressure_hpa", float)}
+
+
+def _calibrated_sweep(cfg: dict) -> tuple[list[PowerSweepPoint], CalibrationResult]:
+    """The sweep points of area table ``points_csv`` (a campaign's
+    ``normalized_area_vs_power.csv``), only those at ``pressure_hpa`` if
+    it is given, and their calibration.  A fit's A is rebuilt as
+    area * f_q^2, so its A/f_q^2 is the table's up to the last bit."""
     pressure_filter = cfg.get("pressure_hpa")
     grouped: dict[tuple, dict] = {}
     with _malformed(cfg["points_csv"]):
@@ -285,22 +296,33 @@ def cmd_calibrate(args) -> int:
                         pressure_hpa=pressure, fits=fits)
         for (pressure, power, rep), fits in sorted(grouped.items())
     ]
-    result = calibrate(sweep, **_kwargs(cfg, keys))
+    return sweep, calibrate(sweep, **_kwargs(cfg, _CALIBRATE))
+
+
+def cmd_calibrate(args) -> int:
+    cfg = _config(args, _AREA_TABLE, input_key="points_csv")
+    _, result = _calibrated_sweep(cfg)
     _print_json(dataclasses.asdict(result))
     return 0
 
 
 def cmd_extract_k(args) -> int:
-    keys = {key: _Key(key, _series) for key in ("energy", "temperature")}
-    cfg = _config(args, keys)
-    if keys.keys() - cfg.keys():
-        raise ConfigError(f"extract-k needs {' and '.join(map(repr, keys))} in --config")
-    # extract_k pairs the series by power only, so no pressure is recorded.
-    result = extract_k(
-        [EnergyPoint(p, e, s) for p, e, s in cfg["energy"]],
-        [TemperaturePoint(p, math.nan, t, s) for p, t, s in cfg["temperature"]],
-    )
-    _print_json(dataclasses.asdict(result))
+    cfg = _config(args, {**_AREA_TABLE, "temperature": _Key("temperature", _series)},
+                  input_key="points_csv")
+    if "temperature" not in cfg:
+        raise ConfigError("extract-k needs a 'temperature' series in --config")
+    sweep, calib = _calibrated_sweep(cfg)
+    table = np.unique([pt.laser_power for pt in sweep])
+    series = np.sort([power for power, _, _ in cfg["temperature"]])
+    if table.size != series.size or not np.allclose(table, series, rtol=1e-9, atol=1e-12):
+        raise EstimationError(
+            f"area table and temperature series sample different powers: "
+            f"{table.tolist()} vs {series.tolist()} mW"
+        )
+    temperatures = [TemperaturePoint(power, calib.pressure_hpa, t, sigma)
+                    for power, t, sigma in cfg["temperature"]]
+    result = extract_k(calib, temperatures)
+    _print_json({axis: dataclasses.asdict(m) for axis, m in result.items()})
     return 0
 
 
@@ -386,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         takes_input="ESR CSV file")
     add("calibrate", cmd_calibrate, "zero-power calibration from a sweep table",
         takes_input="normalized-area table CSV")
-    add("extract-k", cmd_extract_k, "coupling constant from matched series")
+    add("extract-k", cmd_extract_k, "coupling constants from a sweep table and temperatures",
+        takes_input="normalized-area table CSV")
     campaign = add("campaign", cmd_campaign, "run a full measurement campaign",
                    "--seed", "--out", "--format")
     campaign.add_argument("-v", "--verbose", action="store_true",

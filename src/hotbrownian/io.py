@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, HotBrownianError
-from .pipeline import CampaignReport, com_energy
+from .pipeline import CampaignReport
 from .simulate import TimeTrace
 from .spectral import Psd
 from .thermometry import EsrSpectrum, ZfsLaw, _parse_zfs_law
@@ -461,7 +461,7 @@ def write_report(report: CampaignReport, outdir, format: str = "csv") -> Path:
         for axis in sorted(calib.c_calib):
             for power in sorted({pt.laser_power for pt in sweep}):
                 cell = [pt for pt in sweep if pt.laser_power == power]
-                energies = [com_energy(pt, calib, axis) for pt in cell]
+                energies = [calib.c_calib[axis] * pt.fits[axis].normalized_area for pt in cell]
                 n = len(energies)
                 spread = float(np.std(energies, ddof=1)) / math.sqrt(n) if n > 1 else math.nan
                 rows.append([

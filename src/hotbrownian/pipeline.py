@@ -8,10 +8,11 @@ The chain mirrors an actual levitation experiment:
     detector units to energy, C = k_B * T_room / a0, because an unheated
     particle is at room temperature.
 2.  ESR thermometry gives the internal temperature at the same powers.
-3.  The hot-Brownian coupling constant is the slope ratio of the
-    calibrated CoM temperature T_room * (A/f_q^2) / a0 over the internal
-    temperature, K = T_room * (b/a0) / (dT_int/dP), with its sigma from
-    the full (b, a0) covariance; alpha_c = K * (pi+8)/pi.
+3.  :func:`extract_k`, the one route to the hot-Brownian coupling
+    constant, takes the slope ratio of the calibrated CoM temperature
+    T_room * (A/f_q^2) / a0 over the internal temperature,
+    K = T_room * (b/a0) / (dT_int/dP), per axis of one calibration, with
+    its sigma from the full (b, a0) covariance; alpha_c = K * (pi+8)/pi.
 4.  K across pressures separates true overheating (grows as the gas
     thins) from detection artifacts (flat), feeding a three-way verdict:
     thermal / overheated / undetermined.
@@ -47,8 +48,6 @@ from .twobath import _ALPHA_PER_COUPLING, HeatingLaw, sphere_drag
 __all__ = [
     "PowerSweepPoint",
     "CalibrationResult",
-    "EnergyPoint",
-    "KEstimate",
     "KMeasurement",
     "ClassificationThresholds",
     "HbmEstimate",
@@ -56,7 +55,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "calibrate",
-    "com_energy",
     "extract_k",
     "classify_overheating",
     "hydrodynamic_radius",
@@ -171,112 +169,8 @@ def calibrate(
     )
 
 
-def com_energy(point: PowerSweepPoint, calib: CalibrationResult, axis: str) -> float:
-    """Center-of-mass energy [J] of one axis: E = c_calib * A/f_q^2.
-
-    Raises
-    ------
-    DomainError
-        If the point was taken at a different pressure than the
-        calibration — the conversion constant would not apply.
-    """
-    if not math.isclose(point.pressure_hpa, calib.pressure_hpa, rel_tol=1e-9):
-        raise DomainError(
-            f"point at {point.pressure_hpa} hPa cannot use a calibration "
-            f"made at {calib.pressure_hpa} hPa"
-        )
-    return calib.c_calib[axis] * point.fits[axis].normalized_area
-
-
 # =============================================================================
 # Coupling-constant extraction
-# =============================================================================
-
-@dataclass(frozen=True)
-class EnergyPoint:
-    """CoM energy of one axis at one laser power."""
-
-    laser_power: float                   # [mW]
-    energy: float                        # [J]
-    sigma: float | None = None           # [J]
-
-
-@dataclass(frozen=True)
-class KEstimate:
-    """Coupling constant from the slope ratio dE/dP over k_B dT/dP."""
-
-    K: float
-    K_sigma: float
-    alpha_c: float
-    alpha_c_sigma: float
-    slope_energy: float                  # [J/mW]
-    slope_energy_sigma: float
-    slope_temperature: float             # [K/mW]
-    slope_temperature_sigma: float
-    n_points: int
-
-
-def _slope_ratio(rise: float, rise_sigma: float, temp_series: Sequence[TemperaturePoint]):
-    """K = rise / (dT_int/dP), with ``rise`` the CoM energy slope over k_B [K/mW].
-
-    Fits ``temp_series`` against power; returns ``(K, K_sigma, slope_t,
-    slope_t_sigma)``.  Fewer than three points, or a temperature slope
-    consistent with zero at two sigma (no heating), raise :class:`EstimationError`.
-    """
-    if len(temp_series) < 3:
-        raise EstimationError(f"need >= 3 temperature points, got {len(temp_series)}")
-    powers = np.array([pt.laser_power for pt in temp_series])
-    temps = np.array([pt.temperature for pt in temp_series])
-    slope_t, _, cov_t = line_fit(powers, temps, usable_sigma([pt.sigma for pt in temp_series]))
-    sig_t = math.sqrt(max(cov_t[0, 0], 0.0))
-    if abs(slope_t) <= 2.0 * sig_t:
-        raise EstimationError(
-            f"temperature slope {slope_t} +- {sig_t} K/mW is consistent with "
-            "zero; no heating to reference the energy rise against"
-        )
-    k_value = rise / slope_t
-    return k_value, math.hypot(rise_sigma, k_value * sig_t) / abs(slope_t), slope_t, sig_t
-
-
-def extract_k(
-    energy_series: Sequence[EnergyPoint],
-    temp_series: Sequence[TemperaturePoint],
-) -> KEstimate:
-    """Slope-ratio coupling constant from user-supplied energies.
-
-    :func:`run_campaign` takes its K straight from the calibration fit
-    instead.  Both series must sample the same laser powers; each needs
-    at least three points.  A temperature slope consistent with zero at
-    two sigma raises :class:`EstimationError`.
-    """
-    if len(energy_series) < 3:
-        raise EstimationError(f"need >= 3 energy points, got {len(energy_series)}")
-    e_sorted = sorted(energy_series, key=lambda pt: pt.laser_power)
-    p_e = np.array([pt.laser_power for pt in e_sorted])
-    energies = np.array([pt.energy for pt in e_sorted])
-    slope_e, _, cov_e = line_fit(p_e, energies, usable_sigma([pt.sigma for pt in e_sorted]))
-    sig_e = math.sqrt(max(cov_e[0, 0], 0.0))
-    k_value, k_sigma, slope_t, sig_t = _slope_ratio(
-        slope_e / CONSTANTS.k_B, sig_e / CONSTANTS.k_B, temp_series
-    )
-    p_t = np.sort([pt.laser_power for pt in temp_series])
-    if p_e.size != p_t.size or not np.allclose(p_e, p_t, rtol=1e-9, atol=1e-12):
-        raise EstimationError("energy and temperature series sample different powers")
-    return KEstimate(
-        K=k_value,
-        K_sigma=k_sigma,
-        alpha_c=k_value * _ALPHA_PER_COUPLING,
-        alpha_c_sigma=k_sigma * _ALPHA_PER_COUPLING,
-        slope_energy=slope_e,
-        slope_energy_sigma=sig_e,
-        slope_temperature=slope_t,
-        slope_temperature_sigma=sig_t,
-        n_points=int(p_e.size),
-    )
-
-
-# =============================================================================
-# Overheating classification
 # =============================================================================
 
 @dataclass(frozen=True)
@@ -287,6 +181,63 @@ class KMeasurement:
     K: float
     sigma: float
 
+
+def extract_k(
+    calib: CalibrationResult,
+    temperatures: Sequence[TemperaturePoint],
+) -> dict[str, KMeasurement]:
+    """Coupling constant of every calibrated axis at the calibration's pressure.
+
+    The calibrated CoM temperature T_room * (A/f_q^2) / a0 rises by
+    T_room * b/a0 per mW, with its sigma from the delta method on the
+    full (b, a0) covariance.  K is that rise over the slope of
+    ``temperatures`` (internal temperatures against power, one line fit
+    for every axis), and its sigma adds both relative errors in
+    quadrature.
+
+    Raises
+    ------
+    DomainError
+        If a temperature point was taken at another pressure than the
+        calibration.
+    EstimationError
+        With fewer than three temperature points, or a temperature slope
+        consistent with zero at two sigma (no heating).
+    """
+    foreign = sorted({t.pressure for t in temperatures
+                      if not math.isclose(t.pressure, calib.pressure_hpa, rel_tol=1e-9)})
+    if foreign:
+        raise DomainError(
+            f"temperatures at {foreign} hPa cannot use a calibration "
+            f"made at {calib.pressure_hpa} hPa"
+        )
+    if len(temperatures) < 3:
+        raise EstimationError(f"need >= 3 temperature points, got {len(temperatures)}")
+    slope_t, _, cov_t = line_fit(
+        np.array([t.laser_power for t in temperatures]),
+        np.array([t.temperature for t in temperatures]),
+        usable_sigma([t.sigma for t in temperatures]),
+    )
+    sig_t = math.sqrt(max(cov_t[0, 0], 0.0))
+    if abs(slope_t) <= 2.0 * sig_t:
+        raise EstimationError(
+            f"temperature slope {slope_t} +- {sig_t} K/mW is consistent with "
+            "zero; no heating to reference the CoM temperature rise against"
+        )
+    t_room, measurements = calib.room_temperature, {}
+    for axis, a0 in calib.intercept.items():
+        ratio = calib.slope[axis] / a0
+        var = (calib.slope_sigma[axis] ** 2 - 2.0 * ratio * calib.slope_intercept_cov[axis]
+               + (ratio * calib.intercept_sigma[axis]) ** 2) / a0**2
+        k_value = t_room * ratio / slope_t
+        k_sigma = math.hypot(t_room * math.sqrt(max(var, 0.0)), k_value * sig_t) / abs(slope_t)
+        measurements[axis] = KMeasurement(calib.pressure_hpa, k_value, k_sigma)
+    return measurements
+
+
+# =============================================================================
+# Overheating classification
+# =============================================================================
 
 @dataclass(frozen=True)
 class ClassificationThresholds:
@@ -427,6 +378,11 @@ class CampaignConfig:
             raise ConfigError("repetitions must be >= 0")
         if any(p <= 0 for p in self.pressures_hpa):
             raise ConfigError("pressures must be > 0 hPa")
+        if len(set(self.pressures_hpa)) != len(self.pressures_hpa):
+            raise ConfigError(
+                f"pressures must be distinct, got {list(self.pressures_hpa)}: each "
+                "pressure is calibrated once from all of its sweep points"
+            )
         if any(p < 0 for p in self.laser_powers_mw):
             raise ConfigError("laser powers must be >= 0 mW")
 
@@ -468,216 +424,105 @@ def _record(errors: list, stage: str, message: str, **where) -> None:
     log.warning("campaign %s failed (%s): %s", stage, where, message)
 
 
-def _measure(
-    config: CampaignConfig, law: ZfsLaw, gases: dict
-) -> tuple[list, list, list]:
-    """Simulate and measure every cell of the campaign grid.
+def _trace_cell(
+    config: CampaignConfig, gas: GasEnvironment, power: float, rep: int, seed: int
+) -> PowerSweepPoint:
+    """PSD fits of repetition ``rep`` of one trace at ``power`` [mW] in ``gas``.
 
-    Each (pressure, power, repetition) cell fits the PSDs of one trace
-    into a :class:`PowerSweepPoint`; each (pressure, power) cell turns
-    one ESR spectrum into a :class:`TemperaturePoint`.  Returns
-    ``(points, temperatures, errors)``; a failed cell is recorded in
-    ``errors`` and skipped.
+    Raises :class:`EstimationError` when the PSD fit of an axis does not
+    converge.
     """
-    pressures = tuple(config.pressures_hpa)
-    powers = tuple(config.laser_powers_mw)
-    reps = config.repetitions
-    errors: list[dict] = []
-    points: list[PowerSweepPoint] = []
-    temperatures: list[TemperaturePoint] = []
+    trace = simulate_trace(SimulationConfig(
+        dt=config.dt_s,
+        duration=config.duration_s,
+        rng_seed=seed,
+        axes=tuple(config.axes),
+        laser_power=mw_to_w(power),
+        gas=gas,
+        particle=config.particle,
+        heating=config.heating,
+        alpha_c=config.alpha_c,
+        anomaly_injection=config.anomaly,
+        measurement_noise_psd=config.measurement_noise_psd,
+    ))
+    fits: dict[str, PsdFit] = {}
+    for axis in trace.signals:
+        psd = welch_psd(trace, axis=axis, segment_length=config.segment_length)
+        fits[axis] = fit_psd(psd, fit_band=config.fit_band, noise_floor=config.noise_floor)
+        if not fits[axis].converged:
+            raise EstimationError(f"PSD fit did not converge on axis {axis!r}")
+    return PowerSweepPoint(laser_power=power, repetition_index=rep,
+                           pressure_hpa=gas.pressure, fits=fits)
 
-    n_trace = len(pressures) * len(powers) * reps
-    n_esr = len(pressures) * len(powers)
-    seeds = np.random.SeedSequence(config.rng_seed).generate_state(
-        max(n_trace + n_esr, 1), dtype=np.uint64
+
+def _esr_cell(
+    config: CampaignConfig, law: ZfsLaw, pressure: float, power: float, seed: int
+) -> TemperaturePoint:
+    """Internal temperature from one ESR spectrum at ``power`` [mW] and ``pressure``.
+
+    Raises :class:`EstimationError` when the ESR fit does not converge.
+    """
+    esr = config.esr
+    spectrum = simulate_esr(
+        config.heating, law, power, pressure, esr.strain_e_hz, esr.contrast,
+        esr.linewidth_hz, esr.noise_level, seed,
+        baseline_counts=esr.baseline_counts, center_offset_hz=esr.center_offset_hz,
     )
-
-    for ip, pressure in enumerate(pressures):
-        log.info("campaign: pressure %.6g hPa", pressure)
-        for ipow, power_mw in enumerate(powers):
-            if not config.thermometry_only:
-                for rep in range(reps):
-                    try:
-                        sim = SimulationConfig(
-                            dt=config.dt_s,
-                            duration=config.duration_s,
-                            rng_seed=int(seeds[(ip * len(powers) + ipow) * reps + rep]),
-                            axes=tuple(config.axes),
-                            laser_power=mw_to_w(power_mw),
-                            gas=gases[pressure],
-                            particle=config.particle,
-                            heating=config.heating,
-                            alpha_c=config.alpha_c,
-                            anomaly_injection=config.anomaly,
-                            measurement_noise_psd=config.measurement_noise_psd,
-                        )
-                        trace = simulate_trace(sim)
-                        fits: dict[str, PsdFit] = {}
-                        for axis in trace.signals:
-                            psd = welch_psd(
-                                trace, axis=axis, segment_length=config.segment_length
-                            )
-                            fit = fit_psd(
-                                psd,
-                                fit_band=config.fit_band,
-                                noise_floor=config.noise_floor,
-                            )
-                            if not fit.converged:
-                                raise EstimationError(
-                                    f"PSD fit did not converge on axis {axis!r}"
-                                )
-                            fits[axis] = fit
-                        points.append(
-                            PowerSweepPoint(
-                                laser_power=power_mw,
-                                repetition_index=rep,
-                                pressure_hpa=pressure,
-                                fits=fits,
-                            )
-                        )
-                    except (HotBrownianError, np.linalg.LinAlgError) as exc:
-                        _record(
-                            errors, "trace", str(exc),
-                            pressure=pressure, power=power_mw, repetition=rep,
-                        )
-            try:
-                spectrum = simulate_esr(
-                    config.heating,
-                    law,
-                    power_mw,
-                    pressure,
-                    config.esr.strain_e_hz,
-                    config.esr.contrast,
-                    config.esr.linewidth_hz,
-                    config.esr.noise_level,
-                    int(seeds[n_trace + ip * len(powers) + ipow]),
-                    baseline_counts=config.esr.baseline_counts,
-                    center_offset_hz=config.esr.center_offset_hz,
-                )
-                esr_fit = fit_esr(spectrum)
-                if not esr_fit.converged:
-                    raise EstimationError("ESR fit did not converge")
-                estimate_t = temperature_from_esr(esr_fit, law)
-                temperatures.append(
-                    TemperaturePoint(
-                        laser_power=power_mw,
-                        pressure=pressure,
-                        temperature=estimate_t.kelvin,
-                        sigma=estimate_t.sigma,
-                    )
-                )
-            except (HotBrownianError, np.linalg.LinAlgError) as exc:
-                _record(errors, "esr", str(exc), pressure=pressure, power=power_mw)
-    return points, temperatures, errors
+    fit = fit_esr(spectrum)
+    if not fit.converged:
+        raise EstimationError("ESR fit did not converge")
+    estimate = temperature_from_esr(fit, law)
+    return TemperaturePoint(laser_power=power, pressure=pressure,
+                            temperature=estimate.kelvin, sigma=estimate.sigma)
 
 
-def _estimate(
-    config: CampaignConfig,
-    gases: dict,
-    points: list,
-    temperatures: list,
-    errors: list,
-) -> tuple[HeatingFit | None, dict, dict, HbmEstimate | None]:
-    """Heating law, per-pressure calibrations and radii, and coupling estimate.
+def _radius(config: CampaignConfig, gas: GasEnvironment, sweep: list, axis: str) -> float:
+    """Epstein radius from the zero-power linewidth of ``axis`` in ``sweep``:
+    hot emerging gas adds drag at every heated power."""
+    fits = [pt.fits[axis] for pt in sweep]
+    _, gamma0, _ = line_fit(
+        np.array([pt.laser_power for pt in sweep]),
+        np.array([fit.gamma for fit in fits]),
+        usable_sigma([fit.uncertainties.get("gamma") for fit in fits]),
+    )
+    return hydrodynamic_radius(gamma0, gas.pressure, gas,
+                               particle_density=config.particle.density,
+                               room_temperature=config.room_temperature)
 
-    Returns ``(heating_fit, calibrations, radius, estimate)``.  Failed
-    steps are appended to ``errors``; without PSD points or a heating
-    fit there is no calibration, radius or estimate.
-    """
-    heating_fit: HeatingFit | None = None
-    if temperatures:
-        try:
-            heating_fit = fit_heating_law(temperatures, config.room_temperature)
-        except HotBrownianError as exc:
-            _record(errors, "heating_fit", str(exc))
 
-    calibrations: dict[float, CalibrationResult] = {}
-    radius: dict[float, float] = {}
-    if not points or heating_fit is None:
-        return heating_fit, calibrations, radius, None
-
-    # Every point carries every configured axis: a cell that fails on one
-    # axis is dropped whole.
-    labels = sorted(points[0].fits)
-    per_pressure: dict[str, list[KMeasurement]] = {a: [] for a in labels}
-    for pressure in config.pressures_hpa:
-        sweep_p = [pt for pt in points if pt.pressure_hpa == pressure]
-        if not sweep_p:
-            continue
-        try:
-            calib = calibrate(sweep_p, config.room_temperature)
-        except CalibrationError as exc:
-            _record(errors, "calibrate", str(exc), pressure=pressure)
-            continue
-        calibrations[pressure] = calib
-
-        # Epstein radius from the zero-power linewidth of the first axis:
-        # hot emerging gas adds drag at every heated power.
-        fits = [pt.fits[labels[0]] for pt in sweep_p]
-        _, gamma0, _ = line_fit(
-            np.array([pt.laser_power for pt in sweep_p]),
-            np.array([fit.gamma for fit in fits]),
-            usable_sigma([fit.uncertainties.get("gamma") for fit in fits]),
-        )
-        radius[pressure] = hydrodynamic_radius(
-            gamma0,
-            pressure,
-            gases[pressure],
-            particle_density=config.particle.density,
-            room_temperature=config.room_temperature,
-        )
-
-        powers = {pt.laser_power for pt in sweep_p}
-        corrected = [
-            replace(t, temperature=heating_fit.corrected_temperature(t))
-            for t in temperatures
-            if t.pressure == pressure and t.laser_power in powers
-        ]
-        for axis in labels:
-            # The calibrated CoM temperature T_room * (A/f_q^2) / a0 rises by
-            # T_room * b/a0 per mW; its sigma is the delta method's for b/a0.
-            a0, ratio = calib.intercept[axis], calib.slope[axis] / calib.intercept[axis]
-            var = (calib.slope_sigma[axis] ** 2 - 2.0 * ratio * calib.slope_intercept_cov[axis]
-                   + (ratio * calib.intercept_sigma[axis]) ** 2) / a0**2
-            t_room = calib.room_temperature
-            try:
-                k_value, k_sigma, _, _ = _slope_ratio(
-                    t_room * ratio, t_room * math.sqrt(max(var, 0.0)), corrected
-                )
-                per_pressure[axis].append(KMeasurement(pressure, k_value, k_sigma))
-            except (HotBrownianError, np.linalg.LinAlgError) as exc:
-                _record(errors, "extract_k", str(exc), pressure=pressure, axis=axis)
-
+def _summarize(
+    thresholds: ClassificationThresholds, points: list, per_pressure: dict
+) -> HbmEstimate | None:
+    """Pooled K and verdict of each axis of ``per_pressure`` (axis -> list of
+    :class:`KMeasurement`), or None when no axis has a K."""
     k_per_axis: dict[str, tuple[float, float]] = {}
     alpha_per_axis: dict[str, tuple[float, float]] = {}
     classification: dict[str, str] = {}
     flags: list[str] = []
-    for axis in labels:
-        if not per_pressure[axis]:
+    for axis, measurements in per_pressure.items():
+        if not measurements:
             flags.append(f"axis {axis}: no coupling estimate")
             continue
         k_bar, sigma_bar = _pooled_mean(
-            np.array([m.K for m in per_pressure[axis]]),
-            np.array([m.sigma for m in per_pressure[axis]]),
+            np.array([m.K for m in measurements]), np.array([m.sigma for m in measurements])
         )
         k_per_axis[axis] = (k_bar, sigma_bar)
         alpha_per_axis[axis] = (k_bar * _ALPHA_PER_COUPLING, sigma_bar * _ALPHA_PER_COUPLING)
-        verdict = classify_overheating(per_pressure[axis], config.thresholds)
-        classification[axis] = verdict
-        flags.append(f"axis {axis}: {verdict}")
+        classification[axis] = classify_overheating(measurements, thresholds)
+        flags.append(f"axis {axis}: {classification[axis]}")
     if not k_per_axis:
-        return heating_fit, calibrations, radius, None
+        return None
 
-    pooled = [m for axis in labels for m in per_pressure[axis]]
+    pooled = [m for measurements in per_pressure.values() for m in measurements]
     k_mean, k_mean_sigma = _pooled_mean(
         np.array([m.K for m in pooled]), np.array([m.sigma for m in pooled])
     )
     # Axis labels are "x" and "y" only, so two labels are exactly those.
     ratios = (
         [pt.fits["x"].gamma / pt.fits["y"].gamma for pt in points]
-        if len(labels) == 2 else []
+        if len(per_pressure) == 2 else []
     )
-    estimate = HbmEstimate(
+    return HbmEstimate(
         k_per_axis=k_per_axis,
         alpha_per_axis=alpha_per_axis,
         per_pressure={a: tuple(v) for a, v in per_pressure.items()},
@@ -688,16 +533,78 @@ def _estimate(
         classification=classification,
         flags=tuple(flags),
     )
-    return heating_fit, calibrations, radius, estimate
+
+
+def _estimate(
+    config: CampaignConfig, gases: dict, points: list, temperatures: list, errors: list
+) -> CampaignReport:
+    """The report of the measured cells: the heating law, then per pressure
+    :func:`calibrate`, the radius and :func:`extract_k`, then the pooled
+    coupling estimate.
+
+    ``errors`` lists the failed cells; the report's errors add the failed
+    estimation steps.  Without PSD points or a heating fit there is no
+    calibration, radius or estimate.
+    """
+    report = CampaignReport(
+        pressures_hpa=tuple(config.pressures_hpa),
+        laser_powers_mw=tuple(config.laser_powers_mw),
+        points=points,
+        temperatures=temperatures,
+        calibrations={},
+        heating_fit=None,
+        estimate=None,
+        hydrodynamic_radius_m={},
+        errors=list(errors),
+    )
+    if temperatures:
+        try:
+            report.heating_fit = fit_heating_law(temperatures, config.room_temperature)
+        except HotBrownianError as exc:
+            _record(report.errors, "heating_fit", str(exc))
+    if not points or report.heating_fit is None:
+        return report
+
+    # Every point carries every configured axis: a cell that fails on one
+    # axis is dropped whole.
+    labels = sorted(points[0].fits)
+    per_pressure: dict[str, list[KMeasurement]] = {a: [] for a in labels}
+    for pressure in config.pressures_hpa:
+        sweep = [pt for pt in points if pt.pressure_hpa == pressure]
+        if not sweep:
+            continue
+        try:
+            calib = calibrate(sweep, config.room_temperature)
+        except CalibrationError as exc:
+            _record(report.errors, "calibrate", str(exc), pressure=pressure)
+            continue
+        report.calibrations[pressure] = calib
+        report.hydrodynamic_radius_m[pressure] = _radius(
+            config, gases[pressure], sweep, labels[0]
+        )
+        powers = {pt.laser_power for pt in sweep}
+        corrected = [
+            replace(t, temperature=report.heating_fit.corrected_temperature(t))
+            for t in temperatures
+            if t.pressure == pressure and t.laser_power in powers
+        ]
+        try:
+            for axis, measurement in extract_k(calib, corrected).items():
+                per_pressure[axis].append(measurement)
+        except (HotBrownianError, np.linalg.LinAlgError) as exc:
+            for axis in labels:
+                _record(report.errors, "extract_k", str(exc), pressure=pressure, axis=axis)
+    report.estimate = _summarize(config.thresholds, points, per_pressure)
+    return report
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the full simulate-measure-estimate loop over a campaign grid.
 
-    Every (pressure, power, repetition) cell simulates a trace, fits its
-    per-axis PSDs, and every (pressure, power) cell acquires one ESR
-    spectrum.  Cell failures are recorded in the report and the campaign
-    continues; an empty grid yields an empty report.
+    Each (pressure, power) cell runs its trace repetitions, each a
+    :func:`_trace_cell`, then one :func:`_esr_cell`.  Cell failures are
+    recorded in the report and the campaign continues; an empty grid
+    yields an empty report.
     """
     t_start = time.perf_counter()
     law = config.zfs_law if config.zfs_law is not None else default_zfs_law()
@@ -709,19 +616,30 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         )
         for pressure in config.pressures_hpa
     }
-    points, temperatures, errors = _measure(config, law, gases)
-    heating_fit, calibrations, radius, estimate = _estimate(
-        config, gases, points, temperatures, errors
+    n_powers, reps = len(config.laser_powers_mw), config.repetitions
+    n_trace = len(config.pressures_hpa) * n_powers * reps
+    seeds = np.random.SeedSequence(config.rng_seed).generate_state(
+        max(n_trace + len(config.pressures_hpa) * n_powers, 1), dtype=np.uint64
     )
-    return CampaignReport(
-        pressures_hpa=tuple(config.pressures_hpa),
-        laser_powers_mw=tuple(config.laser_powers_mw),
-        points=points,
-        temperatures=temperatures,
-        calibrations=calibrations,
-        heating_fit=heating_fit,
-        estimate=estimate,
-        hydrodynamic_radius_m=radius,
-        errors=errors,
-        runtime_s=time.perf_counter() - t_start,
-    )
+    points: list[PowerSweepPoint] = []
+    temperatures: list[TemperaturePoint] = []
+    errors: list[dict] = []
+    for ip, pressure in enumerate(config.pressures_hpa):
+        log.info("campaign: pressure %.6g hPa", pressure)
+        for ipow, power in enumerate(config.laser_powers_mw):
+            cell = ip * n_powers + ipow
+            for rep in range(0 if config.thermometry_only else reps):
+                try:
+                    points.append(_trace_cell(config, gases[pressure], power, rep,
+                                              int(seeds[cell * reps + rep])))
+                except (HotBrownianError, np.linalg.LinAlgError) as exc:
+                    _record(errors, "trace", str(exc),
+                            pressure=pressure, power=power, repetition=rep)
+            try:
+                temperatures.append(_esr_cell(config, law, pressure, power,
+                                              int(seeds[n_trace + cell])))
+            except (HotBrownianError, np.linalg.LinAlgError) as exc:
+                _record(errors, "esr", str(exc), pressure=pressure, power=power)
+    report = _estimate(config, gases, points, temperatures, errors)
+    report.runtime_s = time.perf_counter() - t_start
+    return report

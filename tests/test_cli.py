@@ -163,27 +163,77 @@ class TestCalibrateCommand:
         assert "areas.csv" in err
 
 
+def k_table(tmp_path, k_true=0.3, slope_t=0.17, powers=(20.0, 60.0, 100.0, 140.0)):
+    """Area table of both axes at 45 hPa whose K against 294 + slope_t*P is k_true."""
+    a0 = {"x": 4.0e-9, "y": 6.0e-9}
+    rows = [
+        (45.0, axis, p, 0, a0[axis] * (1.0 + k_true * slope_t * p / 294.0), 0.0, 5e4, 3e3)
+        for p in powers for axis in ("x", "y")
+    ]
+    return area_table(tmp_path / "areas.csv", rows)
+
+
 class TestExtractKCommand:
     def test_inline_series(self, tmp_path, capsys):
-        k_b = 1.380649e-23
         cfg = write_json(tmp_path / "k.json", {
-            "energy": [[p, k_b * (294.0 + 0.3 * 0.17 * p)] for p in (20, 60, 100, 140)],
             "temperature": [[p, 294.0 + 0.17 * p] for p in (20, 60, 100, 140)],
         })
-        code, out, _ = run(capsys, "extract-k", "--config", cfg)
+        code, out, _ = run(capsys, "extract-k", k_table(tmp_path), "--config", cfg)
         assert code == 0
         result = json.loads(out)
-        assert result["K"] == pytest.approx(0.3, rel=1e-9)
-        assert result["n_points"] == 4
+        assert list(result) == ["x", "y"]
+        for m in result.values():
+            assert m["pressure"] == 45.0
+            assert m["K"] == pytest.approx(0.3, rel=1e-9)
+            assert m["sigma"] >= 0
 
     def test_flat_temperatures_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "k.json", {
-            "energy": [[p, 1e-21 * p] for p in (20, 60, 100)],
-            "temperature": [[p, 294.0] for p in (20, 60, 100)],
+            "temperature": [[p, 294.0] for p in (20, 60, 100, 140)],
         })
-        code, _, err = run(capsys, "extract-k", "--config", cfg)
+        code, _, err = run(capsys, "extract-k", k_table(tmp_path), "--config", cfg)
         assert code == 2
         assert "error" in err
+
+    def test_different_powers_exit_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "k.json", {
+            "temperature": [[p + 5.0, 294.0 + 0.17 * p] for p in (20, 60, 100, 140)],
+        })
+        code, out, err = run(capsys, "extract-k", k_table(tmp_path), "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "different powers" in err
+
+    def test_reproduces_the_campaign_k(self, tmp_path, capsys):
+        """calibrate -> extract_k is the campaign's K route: the CLI on a
+        campaign's own tables gives its per-pressure K.  Not bit for bit,
+        since the command rebuilds A as area * f_q^2."""
+        cfg = write_json(tmp_path / "camp.json", {
+            "pressures_hpa": [45.0, 100.0], "laser_powers_mw": [30.0, 90.0, 150.0],
+            "repetitions": 2, "duration_s": 0.1, "dt_s": 1e-6, "seed": 21,
+        })
+        outdir = tmp_path / "camp"
+        assert run(capsys, "campaign", "--config", cfg, "--out", str(outdir))[0] == 0
+        report = json.loads((outdir / "report.json").read_text())
+        rows = np.loadtxt(outdir / "internal_temperature_vs_power.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        for pressure in (45.0, 100.0):
+            at = rows[rows[:, 0] == pressure]
+            k_cfg = write_json(tmp_path / "k.json", {
+                "pressure_hpa": pressure,
+                "temperature": [[p, t, s] for p, t, s in at[:, [1, 4, 3]].tolist()],
+            })
+            code, out, _ = run(capsys, "extract-k",
+                               str(outdir / "normalized_area_vs_power.csv"), "--config", k_cfg)
+            assert code == 0
+            result = json.loads(out)
+            assert list(result) == ["x", "y"]
+            for axis, m in result.items():
+                (expected,) = [e for e in report["estimate"]["per_pressure"][axis]
+                               if e["pressure"] == pressure]
+                assert m["pressure"] == pressure
+                assert m["K"] == pytest.approx(expected["K"], rel=1e-12)
+                assert m["sigma"] == pytest.approx(expected["sigma"], rel=1e-12)
 
 
 # =============================================================================
@@ -382,7 +432,7 @@ VALID_KEY = {
     "fit-psd": "noise_floor",
     "fit-esr": "zfs_law",
     "calibrate": "room_temperature",
-    "extract-k": "energy",
+    "extract-k": "temperature",
     "campaign": "pressures_hpa",
     "cylinder-k": "aspect_ratios",
 }
@@ -419,20 +469,27 @@ class TestConfigChecks:
         assert code == 3
         assert "linewidth_hz" in err
 
+    def test_duplicate_pressures_exit_3(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "camp.json", {"pressures_hpa": [45.0, 45.0, 100.0]})
+        code, out, err = run(capsys, "campaign", "--config", cfg, "--out", str(tmp_path / "c"))
+        assert code == 3
+        assert out == ""
+        assert "distinct" in err
+        assert not (tmp_path / "c").exists()
+
     def test_one_element_series_row_exits_3(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "k.json", {
-            "energy": [[20.0, 1e-21], [60.0], [100.0, 3e-21]],
-            "temperature": [[p, 294.0 + 0.17 * p] for p in (20, 60, 100)],
+            "temperature": [[20.0, 297.4], [60.0], [100.0, 311.0]],
         })
-        code, _, err = run(capsys, "extract-k", "--config", cfg)
+        code, _, err = run(capsys, "extract-k", k_table(tmp_path), "--config", cfg)
         assert code == 3
-        assert "'energy'" in err
+        assert "'temperature'" in err
 
     def test_missing_series_exits_3(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "k.json", {"temperature": [[20.0, 294.0]]})
-        code, _, err = run(capsys, "extract-k", "--config", cfg)
+        cfg = write_json(tmp_path / "k.json", {"room_temperature": 294.0})
+        code, _, err = run(capsys, "extract-k", k_table(tmp_path), "--config", cfg)
         assert code == 3
-        assert "'energy'" in err
+        assert "'temperature'" in err
 
     def test_unknown_axis_exits_3_naming_the_trace_axes(self, tmp_path, capsys):
         sim = write_json(tmp_path / "sim.json", {"duration_s": 0.01, "dt_s": 1e-6})

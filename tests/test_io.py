@@ -464,6 +464,22 @@ class TestWriteReport:
             assert math.isnan(float(row["sigma_j"]))
             assert float(row["energy_j"]) > 0
 
+    def test_energy_table_is_the_calibrated_area(self, report_campaign, tmp_path):
+        # E = c_calib * A/f_q^2 with c_calib = k_B * T_room / a0, so the
+        # zero-power intercept itself would read k_B * T_room.
+        write_report(report_campaign, tmp_path)
+        with (tmp_path / "com_energy_vs_power.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        for row in rows:
+            pressure, axis = float(row["pressure_hpa"]), row["axis"]
+            calib = report_campaign.calibrations[pressure]
+            (pt,) = [pt for pt in report_campaign.points if pt.pressure_hpa == pressure
+                     and pt.laser_power == float(row["laser_power_mw"])]
+            assert float(row["energy_j"]) == pytest.approx(
+                calib.c_calib[axis] * pt.fits[axis].normalized_area, rel=1e-12)
+            assert calib.c_calib[axis] * calib.intercept[axis] == pytest.approx(
+                hb.CONSTANTS.k_B * 294.0, rel=1e-12)
+
     def test_temperature_table_applies_the_strain_offset(self, report_campaign, tmp_path):
         write_report(report_campaign, tmp_path)
         offset = report_campaign.heating_fit.strain_offset_K

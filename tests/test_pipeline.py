@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hotbrownian import (
     ClassificationThresholds,
     ConfigError,
     DomainError,
-    EnergyPoint,
     EstimationError,
     KMeasurement,
     PowerSweepPoint,
@@ -21,7 +21,6 @@ from hotbrownian import (
     TemperaturePoint,
     calibrate,
     classify_overheating,
-    com_energy,
     extract_k,
     hydrodynamic_radius,
     run_campaign,
@@ -113,95 +112,81 @@ class TestCalibrate:
             calibrate(sweep)
 
 
-class TestComEnergy:
-    def test_converts_area_to_joules(self):
-        sweep = linear_sweep(4.0e-9, 2.5e-11)
-        calib = calibrate(sweep)
-        pt = sweep[2]
-        expected = calib.c_calib["x"] * pt.fits["x"].normalized_area
-        assert com_energy(pt, calib, "x") == pytest.approx(expected, rel=1e-12)
-        # zero-power energy is k_B * T_room by construction
-        virtual = stub_point(0.0, 4.0e-9)
-        assert com_energy(virtual, calib, "x") == pytest.approx(K_B * 294.0, rel=1e-9)
-
-    def test_rejects_pressure_mismatch(self):
-        calib = calibrate(linear_sweep(4.0e-9, 2.5e-11, pressure=45.0))
-        foreign = stub_point(60.0, 5.0e-9, pressure=100.0)
-        with pytest.raises(DomainError, match="hPa"):
-            com_energy(foreign, calib, "x")
-
-
 # =============================================================================
 # Coupling-constant extraction
 # =============================================================================
 
-def matched_series(k_true, powers=(20.0, 60.0, 100.0, 140.0),
-                   slope_t=0.17, e_sigma=None, t_sigma=None):
-    e0, t0 = K_B * 294.0, 294.0
-    energies = [
-        EnergyPoint(laser_power=p, energy=e0 + k_true * K_B * slope_t * p, sigma=e_sigma)
-        for p in powers
-    ]
+def k_inputs(k_true, powers=(20.0, 60.0, 100.0, 140.0), slope_t=0.17):
+    """Calibration of exact areas on both axes, and temperatures
+    294 + slope_t*P at 45 hPa, such that K = k_true."""
+    a0 = 4.0e-9
+    sweep = linear_sweep(a0, k_true * slope_t * a0 / 294.0, powers=powers, axes=("x", "y"))
     temps = [
-        TemperaturePoint(laser_power=p, pressure=45.0,
-                         temperature=t0 + slope_t * p, sigma=t_sigma)
+        TemperaturePoint(laser_power=p, pressure=45.0, temperature=294.0 + slope_t * p)
         for p in powers
     ]
-    return energies, temps
+    return calibrate(sweep, room_temperature=294.0), temps
 
 
 class TestExtractK:
     def test_exact_slope_ratio(self):
-        energies, temps = matched_series(0.3)
-        est = extract_k(energies, temps)
-        assert est.K == pytest.approx(0.3, rel=1e-12)
-        assert est.alpha_c == pytest.approx(0.3 * (math.pi + 8.0) / math.pi, rel=1e-12)
-        assert est.slope_temperature == pytest.approx(0.17, rel=1e-12)
-        assert est.slope_energy == pytest.approx(0.3 * K_B * 0.17, rel=1e-12)
-        assert est.n_points == 4
+        calib, temps = k_inputs(0.3)
+        result = extract_k(calib, temps)
+        assert list(result) == ["x", "y"]
+        for m in result.values():
+            assert m.pressure == 45.0
+            assert m.K == pytest.approx(0.3, rel=1e-12)
 
     def test_input_order_does_not_matter(self):
-        energies, temps = matched_series(0.3)
-        shuffled = extract_k(list(reversed(energies)), temps[::-1])
-        assert shuffled.K == pytest.approx(0.3, rel=1e-12)
+        calib, temps = k_inputs(0.3)
+        shuffled = extract_k(calib, temps[::-1])
+        assert shuffled["x"].K == pytest.approx(0.3, rel=1e-12)
 
     def test_uncertainty_combines_both_slopes(self):
-        energies, temps = matched_series(0.3, e_sigma=1e-23, t_sigma=0.2)
-        est = extract_k(energies, temps)
-        expected_rel = math.hypot(
-            est.slope_energy_sigma / est.slope_energy,
-            est.slope_temperature_sigma / est.slope_temperature,
-        )
-        assert est.K_sigma == pytest.approx(abs(est.K) * expected_rel, rel=1e-12)
-        assert est.alpha_c_sigma == pytest.approx(
-            est.K_sigma * (math.pi + 8.0) / math.pi, rel=1e-12
-        )
-        assert est.K_sigma > 0
+        # Scattered areas and temperatures, both with sigmas: K's sigma adds
+        # the delta-method sigma of b/a0 and that of the temperature slope.
+        sweep = [
+            stub_point(p, 4.0e-9 + 2.5e-11 * p + 1e-10 * d, sigma_a=1e-10 * s)
+            for p, d, s in zip(FIT_POWERS, SCATTER, SIGMAS)
+        ]
+        temps = [
+            TemperaturePoint(p, 45.0, 294.0 + 0.17 * p - 0.3 * d, 0.2 * s)
+            for p, d, s in zip(FIT_POWERS, SCATTER, SIGMAS)
+        ]
+        (m,) = extract_k(calibrate(sweep), temps).values()
+        powers = np.array(FIT_POWERS)
+        b, a0, cov = line_fit(powers, np.array([pt.fits["x"].normalized_area for pt in sweep]),
+                              1e-10 * np.array(SIGMAS))
+        slope_t, _, cov_t = line_fit(powers, np.array([t.temperature for t in temps]),
+                                     0.2 * np.array(SIGMAS))
+        k_value = 294.0 * (b / a0) / slope_t
+        rel2_area = cov[0, 0] / b**2 + cov[1, 1] / a0**2 - 2.0 * cov[0, 1] / (b * a0)
+        rel2_temp = cov_t[0, 0] / slope_t**2
+        assert m.K == pytest.approx(k_value, rel=1e-12)
+        assert m.sigma == pytest.approx(abs(k_value) * math.sqrt(rel2_area + rel2_temp),
+                                        rel=1e-12)
+        assert rel2_area > 0.01 * rel2_temp > 0 and rel2_temp > 0.01 * rel2_area
 
     def test_rejects_short_series(self):
-        energies, temps = matched_series(0.3)
-        with pytest.raises(EstimationError, match="energy points"):
-            extract_k(energies[:2], temps)
+        calib, temps = k_inputs(0.3)
         with pytest.raises(EstimationError, match="temperature points"):
-            extract_k(energies, temps[:2])
-
-    def test_rejects_mismatched_power_grids(self):
-        energies, temps = matched_series(0.3)
-        moved = [
-            TemperaturePoint(t.laser_power + 5.0, t.pressure, t.temperature)
-            for t in temps
-        ]
-        with pytest.raises(EstimationError, match="different powers"):
-            extract_k(energies, moved)
+            extract_k(calib, temps[:2])
 
     def test_rejects_flat_temperatures(self):
-        energies, _ = matched_series(0.3)
+        calib, _ = k_inputs(0.3)
         flat = [
             TemperaturePoint(laser_power=p, pressure=45.0, temperature=294.0)
             for p in (20.0, 60.0, 100.0, 140.0)
         ]
         with pytest.raises(EstimationError, match="consistent with\\s+.?zero|consistent with"):
-            extract_k(energies, flat)
+            extract_k(calib, flat)
+
+    def test_rejects_pressure_mismatch(self):
+        # The conversion constant of a calibration holds at its own pressure only.
+        calib, temps = k_inputs(0.3)
+        foreign = [replace(temps[0], pressure=100.0)] + temps[1:]
+        with pytest.raises(DomainError, match="100.0.*45.0 hPa"):
+            extract_k(calib, foreign)
 
 
 # =============================================================================
@@ -221,15 +206,12 @@ def calibrate_with(sigmas):
 
 
 def extract_k_with(sigmas):
-    energies = [
-        EnergyPoint(p, K_B * (294.0 + 0.05 * p + d), None if s is None else K_B * s)
-        for p, d, s in zip(FIT_POWERS, SCATTER, sigmas)
-    ]
+    # The sigmas weight the temperature fit; the calibration is unweighted.
     temps = [
         TemperaturePoint(p, 45.0, 294.0 + 0.17 * p - 0.3 * d, s)
         for p, d, s in zip(FIT_POWERS, SCATTER, sigmas)
     ]
-    return extract_k(energies, temps)
+    return extract_k(calibrate(linear_sweep(4.0e-9, 2.5e-11, powers=FIT_POWERS)), temps)
 
 
 def fit_heating_law_with(sigmas):
@@ -370,6 +352,15 @@ class TestCampaignConfig:
         with pytest.raises(ConfigError, match="powers"):
             CampaignConfig(**{**kw, "laser_powers_mw": (-5.0,)})
 
+    def test_rejects_duplicate_pressures(self, axes_pair, sphere_particle, heating17):
+        # A repeated pressure would be calibrated twice from the same points
+        # and enter the pooled K twice.
+        with pytest.raises(ConfigError, match=r"distinct.*\[45.0, 45.0, 100.0\]"):
+            CampaignConfig(pressures_hpa=(45.0, 45.0, 100.0),
+                           laser_powers_mw=(30.0, 60.0, 90.0), repetitions=1,
+                           duration_s=0.05, dt_s=1e-6, axes=axes_pair,
+                           particle=sphere_particle, heating=heating17)
+
 
 @pytest.fixture(scope="module")
 def mini_campaign(axes_pair, sphere_particle, heating17):
@@ -434,11 +425,10 @@ class TestRunCampaign:
                          floor=0.0, converged=True)
             points.append(PowerSweepPoint(power, 0, pressure, {"x": fit, "y": fit}))
             temperatures.append(TemperaturePoint(power, pressure, t_int, 0.1))
-        errors = []
-        _, _, radius, _ = _estimate(config, gases, points, temperatures, errors)
-        assert errors == []
-        assert sorted(radius) == [45.0, 100.0]
-        for r in radius.values():
+        report = _estimate(config, gases, points, temperatures, [])
+        assert report.errors == []
+        assert sorted(report.hydrodynamic_radius_m) == [45.0, 100.0]
+        for r in report.hydrodynamic_radius_m.values():
             assert r == pytest.approx(500e-9, rel=3e-3)
 
     def test_recovers_the_particle_radius(self, mini_campaign):
@@ -548,11 +538,9 @@ def estimate_from(config, area, temperature, sigma_a=0.0):
         TemperaturePoint(power, pressure, temperature(i, power, pressure), 0.1)
         for i, (pressure, power) in grid
     ]
-    errors = []
-    heating_fit, calibrations, _, estimate = _estimate(
-        config, gases, points, temperatures, errors
-    )
-    return points, temperatures, heating_fit, calibrations, estimate, errors
+    report = _estimate(config, gases, points, temperatures, [])
+    return (points, temperatures, report.heating_fit, report.calibrations,
+            report.estimate, report.errors)
 
 
 class TestCampaignCoupling:
