@@ -425,14 +425,16 @@ def _record(errors: list, stage: str, message: str, **where) -> None:
 
 
 def _trace_cell(
-    config: CampaignConfig, gas: GasEnvironment, power: float, rep: int, seed: int
+    config: CampaignConfig, gas: GasEnvironment, power: float, rep: int, seed: int,
+    held: dict,
 ) -> PowerSweepPoint:
     """PSD fits of repetition ``rep`` of one trace at ``power`` [mW] in ``gas``.
 
-    Raises :class:`EstimationError` when the PSD fit of an axis does not
-    converge.
+    The trace and the last PSD stay in ``held`` until the next cell puts
+    its own there (see :func:`run_campaign`).  Raises
+    :class:`EstimationError` when the PSD fit of an axis does not converge.
     """
-    trace = simulate_trace(SimulationConfig(
+    held["trace"] = trace = simulate_trace(SimulationConfig(
         dt=config.dt_s,
         duration=config.duration_s,
         rng_seed=seed,
@@ -447,7 +449,7 @@ def _trace_cell(
     ))
     fits: dict[str, PsdFit] = {}
     for axis in trace.signals:
-        psd = welch_psd(trace, axis=axis, segment_length=config.segment_length)
+        held["psd"] = psd = welch_psd(trace, axis=axis, segment_length=config.segment_length)
         fits[axis] = fit_psd(psd, fit_band=config.fit_band, noise_floor=config.noise_floor)
         if not fits[axis].converged:
             raise EstimationError(f"PSD fit did not converge on axis {axis!r}")
@@ -624,6 +626,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     points: list[PowerSweepPoint] = []
     temperatures: list[TemperaturePoint] = []
     errors: list[dict] = []
+    # The last trace and PSD stay referenced until the next trace cell
+    # replaces them.  Freed at the end of each cell instead, they left the
+    # top of the heap free, and glibc handed it back to the kernel and
+    # faulted it in again in every cell: 307k minor page faults per
+    # campaign_reps round against 5.5k, about a tenth of its wall time.
+    held: dict = {}
     for ip, pressure in enumerate(config.pressures_hpa):
         log.info("campaign: pressure %.6g hPa", pressure)
         for ipow, power in enumerate(config.laser_powers_mw):
@@ -631,7 +639,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             for rep in range(0 if config.thermometry_only else reps):
                 try:
                     points.append(_trace_cell(config, gases[pressure], power, rep,
-                                              int(seeds[cell * reps + rep])))
+                                              int(seeds[cell * reps + rep]), held))
                 except (HotBrownianError, np.linalg.LinAlgError) as exc:
                     _record(errors, "trace", str(exc),
                             pressure=pressure, power=power, repetition=rep)
