@@ -59,7 +59,6 @@ from .simulate import (
     AnomalyInjection,
     SimulationConfig,
     TimeTrace,
-    simulate_esr,
     simulate_trace,
 )
 from .spectral import Psd, PsdFit, fit_psd, psd_model, welch_psd
@@ -73,17 +72,16 @@ from .thermometry import (
     default_zfs_law,
     fit_esr,
     fit_heating_law,
+    simulate_esr,
     temperature_from_esr,
 )
 from .twobath import (
     SPHERE_COUPLING_PER_ALPHA,
     CylinderDrag,
     HeatingLaw,
-    alpha_from_k,
     cylinder_drag,
     cylinder_k,
     internal_temperature,
-    k_from_alpha,
     sphere_drag,
     sphere_k,
     two_bath_tcom,
@@ -103,17 +101,16 @@ __all__ = [
     # two-bath physics
     "SPHERE_COUPLING_PER_ALPHA", "HeatingLaw", "CylinderDrag",
     "internal_temperature", "two_bath_tcom", "two_bath_tcom_linearized",
-    "alpha_from_k", "k_from_alpha", "sphere_drag", "cylinder_drag",
-    "cylinder_k", "sphere_k",
+    "sphere_drag", "cylinder_drag", "cylinder_k", "sphere_k",
     # simulation
     "AnomalyInjection", "SimulationConfig", "TimeTrace",
-    "simulate_trace", "simulate_esr",
+    "simulate_trace",
     # spectral
     "Psd", "PsdFit", "welch_psd", "psd_model", "fit_psd",
     # thermometry
     "ZfsLaw", "default_zfs_law", "EsrSpectrum", "EsrFit",
     "TemperatureEstimate", "TemperaturePoint", "HeatingFit",
-    "fit_esr", "temperature_from_esr", "fit_heating_law",
+    "simulate_esr", "fit_esr", "temperature_from_esr", "fit_heating_law",
     # pipeline
     "PowerSweepPoint", "CalibrationResult",
     "KMeasurement", "ClassificationThresholds", "HbmEstimate",

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import DomainError, EstimationError
 
 __all__ = ["GnResult", "least_squares_gn"]
 
@@ -74,8 +74,10 @@ def line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray | None = None):
 
     ``cov`` is the 2x2 covariance of (slope, intercept).  With per-point
     sigmas it is the exact inverse Fisher matrix; without, it is scaled
-    by the residual variance.
+    by the residual variance.  Non-finite x or y raise DomainError.
     """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("line fit needs finite x and y values")
     design = np.column_stack([x, np.ones_like(x)])
     if sigma is not None:
         w = 1.0 / sigma

@@ -171,6 +171,13 @@ _READERS = {
 }
 
 
+def _finite(token: str) -> float:
+    """A JSON number as a float; NaN, +-Infinity (not JSON) and overflows are refused."""
+    if not math.isfinite(value := float(token)):
+        raise ConfigError(f"--config: {token} is not a finite JSON number")
+    return value
+
+
 def _config(args, keys: dict[str, _Key], input_key: str | None = None) -> dict:
     """The --config object of a command that reads ``keys``, converted.
 
@@ -178,7 +185,8 @@ def _config(args, keys: dict[str, _Key], input_key: str | None = None) -> dict:
     config keys ``seed``, ``axis`` and ``input_key``.  Keys without a
     library default take their ``_EXAMPLE`` value.
     """
-    raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    text = Path(args.config).read_text() if args.config else "{}"
+    raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
     if input_key:
         keys = {**keys, input_key: _Key(input_key, str)}
     if isinstance(raw, dict):
@@ -282,7 +290,7 @@ def _calibrated_sweep(cfg: dict) -> tuple[list[PowerSweepPoint], CalibrationResu
     with _malformed(cfg["points_csv"]):
         rows = np.loadtxt(cfg["points_csv"], delimiter=",", skiprows=1, ndmin=2, dtype=str)
         for row in rows:
-            pressure, axis, power = float(row[0]), row[1], float(row[2])
+            pressure, axis, power = float(row[0]), str(row[1]), float(row[2])
             rep = int(float(row[3]))
             if pressure_filter is not None and not math.isclose(pressure, pressure_filter):
                 continue

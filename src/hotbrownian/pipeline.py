@@ -32,7 +32,7 @@ import numpy as np
 from ._leastsq import line_fit, usable_sigma
 from .core import CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis, mw_to_w
 from .errors import CalibrationError, ConfigError, DomainError, EstimationError, HotBrownianError
-from .simulate import AnomalyInjection, SimulationConfig, simulate_esr, simulate_trace
+from .simulate import AnomalyInjection, SimulationConfig, simulate_trace
 from .spectral import PsdFit, fit_psd, welch_psd
 from .thermometry import (
     HeatingFit,
@@ -41,6 +41,7 @@ from .thermometry import (
     default_zfs_law,
     fit_esr,
     fit_heating_law,
+    simulate_esr,
     temperature_from_esr,
 )
 from .twobath import _ALPHA_PER_COUPLING, HeatingLaw, sphere_drag
@@ -385,6 +386,23 @@ class CampaignConfig:
             )
         if any(p < 0 for p in self.laser_powers_mw):
             raise ConfigError("laser powers must be >= 0 mW")
+        if self.thermometry_only or not (self.repetitions and self.pressures_hpa
+                                         and self.laser_powers_mw):
+            return
+        # Refuse what fails every trace cell, checked at the lowest power: a
+        # higher power only adds the Nyquist limit; zero power fails per cell.
+        if self.segment_length < 2:
+            raise ConfigError(f"segment_length must be >= 2, got {self.segment_length}")
+        gas = GasEnvironment(self.pressures_hpa[0], self.molar_mass, self.room_temperature)
+        self._simulation(gas, min(self.laser_powers_mw), self.rng_seed)
+
+    def _simulation(self, gas: GasEnvironment, power: float, seed: int) -> SimulationConfig:
+        """The trace of one campaign cell at ``power`` [mW] in ``gas``."""
+        return SimulationConfig(
+            dt=self.dt_s, duration=self.duration_s, rng_seed=seed, axes=tuple(self.axes),
+            laser_power=mw_to_w(power), gas=gas, particle=self.particle, heating=self.heating,
+            alpha_c=self.alpha_c, anomaly_injection=self.anomaly,
+            measurement_noise_psd=self.measurement_noise_psd)
 
 
 @dataclass
@@ -434,19 +452,7 @@ def _trace_cell(
     its own there (see :func:`run_campaign`).  Raises
     :class:`EstimationError` when the PSD fit of an axis does not converge.
     """
-    held["trace"] = trace = simulate_trace(SimulationConfig(
-        dt=config.dt_s,
-        duration=config.duration_s,
-        rng_seed=seed,
-        axes=tuple(config.axes),
-        laser_power=mw_to_w(power),
-        gas=gas,
-        particle=config.particle,
-        heating=config.heating,
-        alpha_c=config.alpha_c,
-        anomaly_injection=config.anomaly,
-        measurement_noise_psd=config.measurement_noise_psd,
-    ))
+    held["trace"] = trace = simulate_trace(config._simulation(gas, power, seed))
     fits: dict[str, PsdFit] = {}
     for axis in trace.signals:
         held["psd"] = psd = welch_psd(trace, axis=axis, segment_length=config.segment_length)

@@ -1,4 +1,4 @@
-"""Forward simulation: levitated-particle traces and ESR sweeps.
+"""Forward simulation of levitated-particle traces.
 
 The center-of-mass motion of a trapped sphere is an underdamped harmonic
 oscillator driven by gas collisions.  In the two-bath picture the gas
@@ -33,7 +33,6 @@ import numpy as np
 from .core import (CONSTANTS, GasEnvironment, ParticleModel, Sphere, TrapAxis,
                    trap_frequency, w_to_mw)
 from .errors import ConfigError, DomainError
-from .thermometry import EsrSpectrum, ZfsLaw, _dips
 from .twobath import (_SPHERE_BATH_RATIO, HeatingLaw, _check_alpha, internal_temperature,
                       sphere_drag)
 
@@ -42,7 +41,6 @@ __all__ = [
     "SimulationConfig",
     "TimeTrace",
     "simulate_trace",
-    "simulate_esr",
 ]
 
 # Rows per banded solve in the position sampler: its workspace (1.5 MB of
@@ -284,7 +282,8 @@ def _axis_truth(config: SimulationConfig, axis: TrapAxis) -> dict:
     _check_alpha(config.alpha_c)
     # Two-bath split of the drag: the emerging/impinging friction ratio is
     # (pi/8)*sqrt(T_em/T0), and T_com is the friction-weighted mean of the
-    # bath temperatures (equal to twobath.two_bath_tcom to rounding).
+    # bath temperatures.  twobath.two_bath_tcom gives it to about one ulp;
+    # this order of operations stays, since fixed-seed traces depend on it.
     t_em = t0 + config.alpha_c * (t_int - t0)
     drag = sphere_drag(config.particle, config.gas, emerging_temperature=t_em)
     g_imp = drag / (1.0 + _SPHERE_BATH_RATIO * math.sqrt(t_em / t0))
@@ -369,106 +368,5 @@ def simulate_trace(config: SimulationConfig) -> TimeTrace:
             "pressure_hpa": config.gas.pressure,
             "seed": config.rng_seed,
             "true_parameters": truth,
-        },
-    )
-
-
-# =============================================================================
-# ESR sweep generation
-# =============================================================================
-
-def simulate_esr(
-    heating: HeatingLaw,
-    d_law: ZfsLaw,
-    laser_power: float,
-    pressure: float,
-    strain_E: float,
-    contrast: float,
-    linewidth: float,
-    noise_level: float,
-    rng_seed: int,
-    baseline_counts: float = 1e5,
-    center_offset_hz: float = 0.0,
-    freqs: np.ndarray | None = None,
-) -> EsrSpectrum:
-    """Generate a double-dip ESR sweep of an internally heated particle.
-
-    The particle's internal temperature fixes the zero-field splitting
-    through ``d_law``; strain splits the two resonances to
-    D +- strain_E.  The expected counts lam are the dip shape that
-    :func:`~hotbrownian.thermometry.fit_esr` fits, written once for both,
-    with the common contrast and linewidth on each dip.  Counts follow
-
-        counts = lam + noise_level * (Poisson(lam) - lam),
-
-    so ``noise_level = 0`` returns the noise-free expectation and 1 full
-    shot noise.
-
-    Parameters
-    ----------
-    laser_power, pressure:
-        In mW and hPa, feeding the heating law.
-    strain_E:
-        Half-splitting [Hz] between the two dips.
-    contrast, linewidth:
-        Common dip contrast (0..1) and FWHM [Hz].
-    baseline_counts:
-        Off-resonant photon count level.
-    center_offset_hz:
-        Systematic shift of the spectrum center — models a microwave
-        frequency miscalibration that thermometry must absorb.
-    freqs:
-        Optional sweep grid [Hz]; defaults to 301 points covering
-        D +- (strain_E + 8*linewidth).  A grid that does not enclose
-        both dips raises :class:`ConfigError`.
-    """
-    if not 0.0 <= contrast < 1.0:
-        raise DomainError(f"contrast must be in [0, 1), got {contrast}")
-    if linewidth <= 0:
-        raise DomainError(f"linewidth must be > 0, got {linewidth}")
-    if strain_E < 0:
-        raise DomainError(f"strain_E must be >= 0, got {strain_E}")
-    if noise_level < 0:
-        raise DomainError(f"noise_level must be >= 0, got {noise_level}")
-    if baseline_counts <= 0:
-        raise DomainError("baseline_counts must be > 0")
-
-    t_int = internal_temperature(heating, laser_power, pressure)
-    center = d_law.d_of_t(t_int) + center_offset_hz
-    f_lo_dip = center - strain_E
-    f_hi_dip = center + strain_E
-
-    if freqs is None:
-        span = strain_E + 8.0 * linewidth
-        freqs = np.linspace(center - span, center + span, 301)
-    else:
-        freqs = np.asarray(freqs, dtype=float)
-        if freqs.min() > f_lo_dip - linewidth or freqs.max() < f_hi_dip + linewidth:
-            raise ConfigError(
-                "frequency grid does not cover both resonances plus one linewidth"
-            )
-
-    lam = _dips(freqs, np.array([baseline_counts, contrast, f_lo_dip, linewidth,
-                                 contrast, f_hi_dip, linewidth]))
-
-    counts = lam.copy()
-    if noise_level > 0:
-        rng = np.random.default_rng(rng_seed)
-        counts = lam + noise_level * (rng.poisson(lam) - lam)
-
-    return EsrSpectrum(
-        microwave_frequencies=freqs,
-        pl_counts=counts,
-        metadata={
-            "laser_power_mw": laser_power,
-            "pressure_hpa": pressure,
-            "t_int": t_int,
-            "d_true": center,
-            "strain_e_hz": strain_E,
-            "linewidth_hz": linewidth,
-            "contrast": contrast,
-            "noise_level": noise_level,
-            "baseline_counts": baseline_counts,
-            "seed": rng_seed,
         },
     )

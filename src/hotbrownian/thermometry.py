@@ -1,9 +1,10 @@
-"""NV-center spin thermometry: zero-field-splitting law, ESR fits, heating law.
+"""NV-center spin thermometry: zero-field-splitting law, ESR model, heating law.
 
 The nitrogen-vacancy ground-state zero-field splitting D(T) decreases
 with temperature, so the midpoint of the two spin resonances is an
-internal thermometer of the host nanodiamond.  This module fits the
-double-dip optically-detected ESR spectrum
+internal thermometer of the host nanodiamond.  This module draws
+(:func:`simulate_esr`) and fits (:func:`fit_esr`) the double-dip
+optically-detected ESR spectrum
 
     counts(f) = B * (1 - C1*L(f; f1, w1) - C2*L(f; f2, w2)),
 
@@ -34,13 +35,15 @@ import numpy as np
 
 from ._leastsq import least_squares_gn, line_fit, usable_sigma
 from .core import CONSTANTS
-from .errors import DomainError, EstimationError
+from .errors import ConfigError, DomainError, EstimationError
+from .twobath import HeatingLaw, internal_temperature
 
 __all__ = [
     "ZfsLaw",
     "default_zfs_law",
     "EsrSpectrum",
     "EsrFit",
+    "simulate_esr",
     "TemperatureEstimate",
     "TemperaturePoint",
     "HeatingFit",
@@ -186,8 +189,7 @@ def _dips(f, p, jacobian: bool = False):
 
     Parameters are ``[B, (C, f, w) x n]``; n follows from their number.
     With ``jacobian`` the derivative by the parameters comes too, as
-    ``(model, jac)``.  :func:`~hotbrownian.simulate.simulate_esr` and
-    :func:`fit_esr` share it.
+    ``(model, jac)``.  :func:`simulate_esr` and :func:`fit_esr` share it.
     """
     b = p[0]
     jac = np.empty((f.size, p.size)) if jacobian else None
@@ -207,6 +209,103 @@ def _dips(f, p, jacobian: bool = False):
         return b * shape
     jac[:, 0] = shape
     return b * shape, jac
+
+
+def simulate_esr(
+    heating: HeatingLaw,
+    d_law: ZfsLaw,
+    laser_power: float,
+    pressure: float,
+    strain_E: float,
+    contrast: float,
+    linewidth: float,
+    noise_level: float,
+    rng_seed: int,
+    baseline_counts: float = 1e5,
+    center_offset_hz: float = 0.0,
+    freqs: np.ndarray | None = None,
+) -> EsrSpectrum:
+    """Generate a double-dip ESR sweep of an internally heated particle.
+
+    The particle's internal temperature fixes the zero-field splitting
+    through ``d_law``; strain splits the two resonances to
+    D +- strain_E.  The expected counts lam are the dip shape that
+    :func:`fit_esr` fits, written once for both, with the common contrast
+    and linewidth on each dip.  Counts follow
+
+        counts = lam + noise_level * (Poisson(lam) - lam),
+
+    so ``noise_level = 0`` returns the noise-free expectation and 1 full
+    shot noise.
+
+    Parameters
+    ----------
+    laser_power, pressure:
+        In mW and hPa, feeding the heating law.
+    strain_E:
+        Half-splitting [Hz] between the two dips.
+    contrast, linewidth:
+        Common dip contrast (0..1) and FWHM [Hz].
+    baseline_counts:
+        Off-resonant photon count level.
+    center_offset_hz:
+        Systematic shift of the spectrum center — models a microwave
+        frequency miscalibration that thermometry must absorb.
+    freqs:
+        Optional sweep grid [Hz]; defaults to 301 points covering
+        D +- (strain_E + 8*linewidth).  A grid that does not enclose
+        both dips raises :class:`ConfigError`.
+    """
+    if not 0.0 <= contrast < 1.0:
+        raise DomainError(f"contrast must be in [0, 1), got {contrast}")
+    if linewidth <= 0:
+        raise DomainError(f"linewidth must be > 0, got {linewidth}")
+    if strain_E < 0:
+        raise DomainError(f"strain_E must be >= 0, got {strain_E}")
+    if noise_level < 0:
+        raise DomainError(f"noise_level must be >= 0, got {noise_level}")
+    if baseline_counts <= 0:
+        raise DomainError("baseline_counts must be > 0")
+
+    t_int = internal_temperature(heating, laser_power, pressure)
+    center = d_law.d_of_t(t_int) + center_offset_hz
+    f_lo_dip = center - strain_E
+    f_hi_dip = center + strain_E
+
+    if freqs is None:
+        span = strain_E + 8.0 * linewidth
+        freqs = np.linspace(center - span, center + span, 301)
+    else:
+        freqs = np.asarray(freqs, dtype=float)
+        if freqs.min() > f_lo_dip - linewidth or freqs.max() < f_hi_dip + linewidth:
+            raise ConfigError(
+                "frequency grid does not cover both resonances plus one linewidth"
+            )
+
+    lam = _dips(freqs, np.array([baseline_counts, contrast, f_lo_dip, linewidth,
+                                 contrast, f_hi_dip, linewidth]))
+
+    counts = lam.copy()
+    if noise_level > 0:
+        rng = np.random.default_rng(rng_seed)
+        counts = lam + noise_level * (rng.poisson(lam) - lam)
+
+    return EsrSpectrum(
+        microwave_frequencies=freqs,
+        pl_counts=counts,
+        metadata={
+            "laser_power_mw": laser_power,
+            "pressure_hpa": pressure,
+            "t_int": t_int,
+            "d_true": center,
+            "strain_e_hz": strain_E,
+            "linewidth_hz": linewidth,
+            "contrast": contrast,
+            "noise_level": noise_level,
+            "baseline_counts": baseline_counts,
+            "seed": rng_seed,
+        },
+    )
 
 
 def _esr_starts(f: np.ndarray, counts: np.ndarray):
@@ -230,8 +329,8 @@ def _esr_starts(f: np.ndarray, counts: np.ndarray):
 def fit_esr(spectrum: EsrSpectrum) -> EsrFit:
     """Fit the double-dip model to an ESR sweep, in any frequency order.
 
-    The model is the dip shape that :func:`~hotbrownian.simulate.simulate_esr`
-    draws its counts from.  Falls back to a single dip (E = 0) when the
+    The model is the dip shape that :func:`simulate_esr` draws its counts
+    from.  Falls back to a single dip (E = 0) when the
     double fit does not converge or collapses its splitting below one
     frequency step; the single dip then fills both dip slots.
     """

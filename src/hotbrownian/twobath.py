@@ -9,18 +9,18 @@ the surface at temperature
 
 where ``alpha_c`` is the thermal accommodation coefficient.  Each bath
 contributes friction; the stationary center-of-mass (CoM) temperature is
-the friction-weighted mean of the two bath temperatures.  For a sphere in
-the free-molecular regime the emerging/impinging friction ratio is
-(pi/8)*sqrt(T_em/T0), which gives the closed form implemented by
-:func:`two_bath_tcom`.  Linearizing in the internal-temperature excess
-defines the hot-Brownian coupling constant
+the friction-weighted mean of the two bath temperatures, with the
+emerging/impinging friction ratio r*sqrt(T_em/T0): r = pi/8 for a sphere
+in the free-molecular regime (:func:`two_bath_tcom`).  Linearizing in the
+internal-temperature excess defines the hot-Brownian coupling constant
 
     K = d(T_com)/d(T_int) = pi/(pi+8) * alpha_c        (sphere),
 
 so measuring K measures alpha_c.  A cylinder couples differently along
-its two symmetry axes; :func:`cylinder_drag` and :func:`cylinder_k`
-quantify that shape effect with free-molecular drag rates in the spirit
-of Martinetz et al., Phys. Rev. E 97, 052112 (2018).
+its two symmetry axes, with its own r per axis (:func:`cylinder_drag`, in
+the spirit of Martinetz et al., Phys. Rev. E 97, 052112 (2018)).
+:func:`sphere_k` and :func:`cylinder_k` share one slope procedure; at
+l = 2R every r is pi/8 and the three agree bitwise.
 
 Units: temperatures K, drag rates rad/s, pressures hPa at the boundary,
 laser powers mW at the heating-law boundary.
@@ -45,8 +45,6 @@ __all__ = [
     "internal_temperature",
     "two_bath_tcom",
     "two_bath_tcom_linearized",
-    "alpha_from_k",
-    "k_from_alpha",
     "sphere_drag",
     "cylinder_drag",
     "cylinder_k",
@@ -65,7 +63,7 @@ _SPHERE_BATH_RATIO = math.pi / 8.0
 _DEFAULT_SWEEP_K = np.linspace(0.0, 100.0, 11)  # [K] internal-excess grid
 
 
-def _check_alpha(alpha_c: float) -> None:
+def _check_alpha(alpha_c: float, stacklevel: int = 3) -> None:
     if alpha_c < 0:
         raise DomainError(f"accommodation coefficient must be >= 0, got {alpha_c}")
     if alpha_c > 1:
@@ -73,7 +71,7 @@ def _check_alpha(alpha_c: float) -> None:
             f"alpha_c = {alpha_c} exceeds 1; treating it as an effective "
             "coefficient of a non-spherical particle",
             AccommodationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -116,17 +114,34 @@ def internal_temperature(law: HeatingLaw, laser_power: float, pressure: float) -
 
 
 # =============================================================================
-# Sphere two-bath model
+# Two-bath model
 # =============================================================================
+
+def _com_temperature(ratio, t0, t_em):
+    """Friction-weighted mean of the baths ``t0`` and ``t_em`` (scalars or arrays).
+
+    ``ratio`` is the emerging/impinging friction ratio at t_em = t0.
+    """
+    w = ratio * np.sqrt(t_em / t0)
+    return (t0 + w * t_em) / (1.0 + w)
+
+
+def _check_two_bath(T0: float, delta_T_int: float, alpha_c: float) -> None:
+    if T0 <= 0:
+        raise DomainError(f"T0 must be > 0, got {T0}")
+    if delta_T_int < 0:
+        raise DomainError(f"delta_T_int must be >= 0, got {delta_T_int}")
+    _check_alpha(alpha_c, stacklevel=4)
+
 
 def two_bath_tcom(T0: float, delta_T_int: float, alpha_c: float) -> float:
     """Center-of-mass temperature [K] of a hot sphere in dilute gas.
 
     Friction-weighted mean of the impinging bath at ``T0`` and the
     emerging bath at T_em = T0 + alpha_c*delta_T_int, with weight ratio
-    (pi/8)*sqrt(T_em/T0):
+    w = (pi/8)*sqrt(T_em/T0):
 
-        T_com = (T0^(3/2) + (pi/8) T_em^(3/2)) / (T0^(1/2) + (pi/8) T_em^(1/2))
+        T_com = (T0 + w*T_em) / (1 + w)
 
     Parameters
     ----------
@@ -138,14 +153,8 @@ def two_bath_tcom(T0: float, delta_T_int: float, alpha_c: float) -> float:
         Accommodation coefficient, >= 0.  Values above 1 are accepted as
         effective coefficients and trigger :class:`AccommodationWarning`.
     """
-    if T0 <= 0:
-        raise DomainError(f"T0 must be > 0, got {T0}")
-    if delta_T_int < 0:
-        raise DomainError(f"delta_T_int must be >= 0, got {delta_T_int}")
-    _check_alpha(alpha_c)
-    t_em = T0 + alpha_c * delta_T_int
-    a = _SPHERE_BATH_RATIO
-    return (T0 ** 1.5 + a * t_em ** 1.5) / (math.sqrt(T0) + a * math.sqrt(t_em))
+    _check_two_bath(T0, delta_T_int, alpha_c)
+    return float(_com_temperature(_SPHERE_BATH_RATIO, T0, T0 + alpha_c * delta_T_int))
 
 
 def two_bath_tcom_linearized(T0: float, delta_T_int: float, alpha_c: float) -> float:
@@ -154,26 +163,8 @@ def two_bath_tcom_linearized(T0: float, delta_T_int: float, alpha_c: float) -> f
     Returns T0 + (pi/(pi+8)) * alpha_c * delta_T_int.  The discarded
     quadratic term has coefficient 4*pi/(pi+8)^2 * (alpha_c*delta_T)^2/T0.
     """
-    if T0 <= 0:
-        raise DomainError(f"T0 must be > 0, got {T0}")
-    if delta_T_int < 0:
-        raise DomainError(f"delta_T_int must be >= 0, got {delta_T_int}")
-    _check_alpha(alpha_c)
+    _check_two_bath(T0, delta_T_int, alpha_c)
     return T0 + SPHERE_COUPLING_PER_ALPHA * alpha_c * delta_T_int
-
-
-def k_from_alpha(alpha_c: float) -> float:
-    """Sphere coupling constant K = pi/(pi+8)*alpha_c."""
-    if alpha_c < 0:
-        raise DomainError(f"alpha_c must be >= 0, got {alpha_c}")
-    return SPHERE_COUPLING_PER_ALPHA * alpha_c
-
-
-def alpha_from_k(K: float) -> float:
-    """Accommodation coefficient implied by a measured sphere coupling K."""
-    if K < 0:
-        raise DomainError(f"K must be >= 0, got {K}")
-    return K * _ALPHA_PER_COUPLING
 
 
 # =============================================================================
@@ -245,6 +236,20 @@ class CylinderDrag:
     emerging_perpendicular: float        # [rad/s]
 
 
+def _aspect(particle: ParticleModel) -> float:
+    """Aspect variable x = l/(2R) of a cylinder-shaped particle."""
+    if not isinstance(particle.shape, Cylinder):
+        raise TypeError("a Cylinder-shaped particle is required; spheres take the "
+                        "sphere_drag and sphere_k path")
+    return particle.shape.length / (2.0 * particle.shape.radius)
+
+
+def _cylinder_rates(x: float) -> tuple[float, float, float, float]:
+    """Reduced rates (impinging, emerging) parallel, then perpendicular, in
+    units of pi*R^2*c/m_cyl at tau = 1; the emerging ones scale with sqrt(tau)."""
+    return 4.0 * (1.0 + x), math.pi, 2.0 * (1.0 + 3.0 * x), math.pi * x
+
+
 def cylinder_drag(
     particle: ParticleModel,
     gas: GasEnvironment,
@@ -275,25 +280,17 @@ def cylinder_drag(
     surface_temperature:
         Emerging-bath temperature [K]; defaults to the gas temperature.
     """
-    if not isinstance(particle.shape, Cylinder):
-        raise TypeError("cylinder_drag requires a Cylinder-shaped particle")
+    x = _aspect(particle)
     t_s = gas.temperature if surface_temperature is None else surface_temperature
     if t_s <= 0:
         raise DomainError("surface temperature must be > 0")
 
-    shape = particle.shape
-    x = shape.length / (2.0 * shape.radius)
-    tau = t_s / gas.temperature
-    sqrt_tau = math.sqrt(tau)
-
-    # Reduced (dimensionless) rates in units of pi*R^2*c / m_cyl.
-    imp_par = 4.0 * (1.0 + x)
-    em_par = math.pi * sqrt_tau
-    imp_perp = 2.0 * (1.0 + 3.0 * x)
-    em_perp = math.pi * x * sqrt_tau
+    imp_par, em_par, imp_perp, em_perp = _cylinder_rates(x)
+    sqrt_tau = math.sqrt(t_s / gas.temperature)
+    em_par, em_perp = em_par * sqrt_tau, em_perp * sqrt_tau
 
     # m_cyl = rho*pi*R^2*l = rho*pi*R^2*(2*R*x)
-    scale = _flux_factor(gas) / (2.0 * particle.density * shape.radius * x)
+    scale = _flux_factor(gas) / (2.0 * particle.density * particle.shape.radius * x)
 
     gamma_par = (imp_par + em_par) * scale
     gamma_perp = (imp_perp + em_perp) * scale
@@ -312,13 +309,15 @@ def cylinder_drag(
 # Coupling constants from the slope procedure
 # =============================================================================
 
-def _validate_sweep(delta_t_grid: np.ndarray | None) -> np.ndarray:
+def _slope_k(ratio: float, t0: float, alpha_c: float, delta_t_grid: np.ndarray | None) -> float:
+    """Line-fit slope d(T_com)/d(T_int) over the internal-excess sweep
+    ``delta_t_grid`` (default 0..100 K in 11 points)."""
     grid = _DEFAULT_SWEEP_K if delta_t_grid is None else np.asarray(delta_t_grid, float)
     if grid.size < 2 or np.ptp(grid) == 0.0:
         raise EstimationError("slope fit needs at least two distinct delta_T values")
     if np.any(grid < 0):
         raise DomainError("delta_T sweep values must be >= 0")
-    return grid
+    return line_fit(grid, _com_temperature(ratio, t0, t0 + alpha_c * grid))[0]
 
 
 def cylinder_k(
@@ -329,10 +328,9 @@ def cylinder_k(
 ) -> float:
     """Hot-Brownian coupling constant of a cylinder axis.
 
-    Sweeps the internal-temperature excess over ``delta_t_grid`` (default
-    0..100 K in 11 points), evaluates the per-axis friction-weighted CoM
-    temperature at full accommodation, and returns the fitted line slope
-    d(T_com)/d(T_int).
+    The slope procedure of :func:`sphere_k` at full accommodation, with
+    the axis's emerging/impinging ratio from :func:`cylinder_drag`'s
+    rates in place of the sphere's pi/8.
 
     Parameters
     ----------
@@ -341,19 +339,9 @@ def cylinder_k(
     """
     if axis not in ("parallel", "perpendicular"):
         raise DomainError(f"axis must be 'parallel' or 'perpendicular', got {axis!r}")
-    grid = _validate_sweep(delta_t_grid)
-    t0 = gas.temperature
-
-    t_com = np.empty(grid.size)
-    for i, d_t in enumerate(grid):
-        t_s = t0 + d_t                   # alpha_c = 1: emerging at T_int
-        drag = cylinder_drag(particle, gas, surface_temperature=t_s)
-        if axis == "parallel":
-            g_imp, g_em = drag.impinging_parallel, drag.emerging_parallel
-        else:
-            g_imp, g_em = drag.impinging_perpendicular, drag.emerging_perpendicular
-        t_com[i] = (g_imp * t0 + g_em * t_s) / (g_imp + g_em)
-    return line_fit(grid, t_com)[0]
+    imp_par, em_par, imp_perp, em_perp = _cylinder_rates(_aspect(particle))
+    ratio = em_par / imp_par if axis == "parallel" else em_perp / imp_perp
+    return _slope_k(ratio, gas.temperature, 1.0, delta_t_grid)
 
 
 def sphere_k(
@@ -361,12 +349,11 @@ def sphere_k(
     alpha_c: float = 1.0,
     delta_t_grid: np.ndarray | None = None,
 ) -> float:
-    """Sphere coupling constant by the same slope procedure as :func:`cylinder_k`.
+    """Sphere coupling constant: the line-fit slope of :func:`two_bath_tcom`.
 
     Differs from the analytic tangent pi/(pi+8)*alpha_c by the quadratic
-    curvature accumulated over the sweep range; use it when comparing
-    against cylinder values produced by the identical procedure.
+    curvature accumulated over the sweep (default 0..100 K in 11 points);
+    :func:`cylinder_k` runs the identical procedure.
     """
-    grid = _validate_sweep(delta_t_grid)
-    t_com = np.array([two_bath_tcom(t0, d_t, alpha_c) for d_t in grid])
-    return line_fit(grid, t_com)[0]
+    _check_two_bath(t0, 0.0, alpha_c)        # the sweep checks its own excesses
+    return _slope_k(_SPHERE_BATH_RATIO, t0, alpha_c, delta_t_grid)

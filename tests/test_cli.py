@@ -140,6 +140,18 @@ class TestCalibrateCommand:
         code, _, err = run(capsys, "calibrate", table)
         assert code == 2
         assert "error" in err
+        assert "axis 'x'" in err                   # a str label, not np.str_('x')
+
+    def test_nan_area_exits_3(self, tmp_path, capsys):
+        rows = [
+            (45.0, "x", p, 0, 4.0e-9 + 2.5e-11 * p, 0.0, 5e4, 3e3)
+            for p in (20.0, 60.0, 100.0, 140.0)
+        ]
+        rows[1] = rows[1][:4] + ("nan",) + rows[1][5:]
+        code, out, err = run(capsys, "calibrate", area_table(tmp_path / "areas.csv", rows))
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
 
     @pytest.mark.parametrize("short_at", [0, -1])
     def test_point_without_an_axis_exits_2(self, tmp_path, capsys, short_at):
@@ -475,6 +487,42 @@ class TestConfigChecks:
         assert code == 3
         assert out == ""
         assert "distinct" in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command, text, token", [
+        ("simulate", '{"duration_s": NaN}', "NaN"),
+        ("extract-k", '{"temperature": [[20, 297.4], [60, NaN, 0.1], [100, 311.0], '
+                      '[140, 317.8]]}', "NaN"),
+        ("extract-k", '{"temperature": [[20, 297.4], [60, Infinity], [100, 311.0], '
+                      '[140, 317.8]]}', "Infinity"),
+        ("extract-k", '{"temperature": [[20, 297.4], [60, 304.2], [100, 311.0], '
+                      '[140, -Infinity]]}', "-Infinity"),
+        ("simulate", '{"duration_s": 1e400}', "1e400"),    # overflows to inf
+    ])
+    def test_non_json_number_exits_3_naming_it(self, command, text, token, tmp_path,
+                                               capsys, monkeypatch):
+        # Python's json reads these tokens as non-finite floats.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        inputs = [k_table(tmp_path)] if command == "extract-k" else []
+        code, out, err = run(capsys, command, *inputs, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert f"{token} is not a finite JSON number" in err
+
+    @pytest.mark.parametrize("change, match", [
+        ({"duration_s": 1e-4, "dt_s": 1e-6}, "fewer than 1000 steps"),
+        ({"segment_length": 1}, "segment_length"),
+    ])
+    def test_campaign_no_trace_cell_can_run_exits_3(self, change, match, tmp_path, capsys):
+        cfg = write_json(tmp_path / "camp.json", {"pressures_hpa": [45.0],
+                                                  "laser_powers_mw": [30.0, 60.0, 90.0],
+                                                  "repetitions": 1, **change})
+        code, out, err = run(capsys, "campaign", "--config", cfg, "--out", str(tmp_path / "c"))
+        assert code == 3
+        assert out == ""
+        assert match in err
         assert not (tmp_path / "c").exists()
 
     def test_one_element_series_row_exits_3(self, tmp_path, capsys):

@@ -105,6 +105,13 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="not positive"):
             calibrate(linear_sweep(-1.0e-9, 2.5e-11))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_area(self, bad):
+        sweep = linear_sweep(4.0e-9, 2.5e-11)
+        sweep[1] = stub_point(sweep[1].laser_power, bad)
+        with pytest.raises(DomainError, match="finite"):
+            calibrate(sweep)
+
     def test_rejects_intercept_consistent_with_zero(self):
         # Scatter so large the extrapolation to P=0 means nothing.
         sweep = [stub_point(10.0, 5.0), stub_point(20.0, 1.0), stub_point(30.0, 6.0)]
@@ -351,6 +358,12 @@ class TestCampaignConfig:
             CampaignConfig(**{**kw, "pressures_hpa": (0.0,)})
         with pytest.raises(ConfigError, match="powers"):
             CampaignConfig(**{**kw, "laser_powers_mw": (-5.0,)})
+        # Settings no trace cell can run; without traces the ESR cells still can.
+        for change, match in (({"duration_s": 1e-4}, "fewer than 1000 steps"),
+                              ({"segment_length": 1}, "segment_length")):
+            with pytest.raises(ConfigError, match=match):
+                CampaignConfig(**{**kw, **change})
+            CampaignConfig(**{**kw, **change, "thermometry_only": True})
 
     def test_rejects_duplicate_pressures(self, axes_pair, sphere_particle, heating17):
         # A repeated pressure would be calibrated twice from the same points

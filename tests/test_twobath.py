@@ -45,23 +45,6 @@ def test_linearized_value():
     )
 
 
-def test_alpha_k_conversions():
-    assert hb.alpha_from_k(0.28) == pytest.approx(0.9930141450516912, rel=1e-14)
-    assert hb.alpha_from_k(0.34) == pytest.approx(1.2058028904199107, rel=1e-14)
-    assert hb.k_from_alpha(1.0) == pytest.approx(B_SLOPE, rel=1e-15)
-    with pytest.raises(DomainError):
-        hb.alpha_from_k(-0.1)
-    with pytest.raises(DomainError):
-        hb.k_from_alpha(-0.1)
-
-
-@given(st.floats(min_value=0.0, max_value=1.0))
-def test_alpha_k_round_trip(alpha):
-    assert hb.alpha_from_k(hb.k_from_alpha(alpha)) == pytest.approx(
-        alpha, abs=1e-12
-    )
-
-
 # =============================================================================
 # Full two-bath CoM temperature
 # =============================================================================
@@ -94,6 +77,10 @@ def test_tcom_input_validation():
         two_bath_tcom(294.0, -5.0, 1.0)
     with pytest.raises(DomainError):
         two_bath_tcom(294.0, 10.0, -0.2)
+    with pytest.raises(DomainError):
+        hb.sphere_k(t0=-1.0)
+    with pytest.raises(DomainError):
+        hb.sphere_k(alpha_c=-0.2)
 
 
 def test_alpha_above_one_warns_not_raises():
@@ -236,9 +223,10 @@ def test_cylinder_bath_split_sums(gas45):
 
 def test_sphere_k_slope_procedure_value():
     # slope of the full model over the default 0..100 K sweep; slightly
-    # above the tangent pi/(pi+8) because of upward curvature
-    assert hb.sphere_k() == pytest.approx(0.3127641992310168, rel=1e-12)
-    assert hb.sphere_k() > SPHERE_COUPLING_PER_ALPHA
+    # above the tangent pi/(pi+8)*alpha_c because of upward curvature
+    for alpha, expected in ((1.0, 0.3127641992310168), (0.5, 0.1491035069521638)):
+        assert hb.sphere_k(alpha_c=alpha) == pytest.approx(expected, rel=1e-12)
+        assert hb.sphere_k(alpha_c=alpha) > SPHERE_COUPLING_PER_ALPHA * alpha
 
 
 def test_sphere_k_zero_accommodation_is_flat():
@@ -255,6 +243,19 @@ def test_cylinder_k_equals_sphere_k_at_aspect_one(gas45):
     assert k_par == k_sph
 
 
+# Frozen from the earlier per-point loop over CylinderDrag objects; the
+# shared slope procedure matches them to about 3e-14 relative.
+@pytest.mark.parametrize("length, k_par, k_perp", [
+    (40e-9, 0.37766964937417574, 0.2668942697881283),      # x = 0.5
+    (90e-9, 0.29987962776094007, 0.31885294100420725),     # x = 1.125
+    (240e-9, 0.1853434401440919, 0.35323543780974304),     # x = 3
+])
+def test_cylinder_k_reference_values(gas45, length, k_par, k_perp):
+    particle = hb.ParticleModel(shape=hb.Cylinder(radius=40e-9, length=length))
+    assert hb.cylinder_k(particle, gas45, "parallel") == pytest.approx(k_par, rel=1e-12)
+    assert hb.cylinder_k(particle, gas45, "perpendicular") == pytest.approx(k_perp, rel=1e-12)
+
+
 def test_cylinder_k_brackets_sphere_for_elongated_shapes(gas45):
     particle = hb.ParticleModel(shape=hb.Cylinder(radius=40e-9, length=120e-9))
     k_par = hb.cylinder_k(particle, gas45, "parallel")
@@ -263,10 +264,12 @@ def test_cylinder_k_brackets_sphere_for_elongated_shapes(gas45):
     assert k_par < k_sph < k_perp
 
 
-def test_cylinder_k_validation(gas45):
+def test_cylinder_k_validation(gas45, sphere_particle):
     particle = hb.ParticleModel(shape=hb.Cylinder(radius=40e-9, length=80e-9))
     with pytest.raises(DomainError):
         hb.cylinder_k(particle, gas45, "sideways")
+    with pytest.raises(TypeError):
+        hb.cylinder_k(sphere_particle, gas45, "parallel")
     with pytest.raises(EstimationError):
         hb.cylinder_k(particle, gas45, "parallel", delta_t_grid=np.array([5.0]))
     with pytest.raises(DomainError):
