@@ -133,7 +133,12 @@ def _convert(key: str, value, kind):
         return kind(**cfg)
     if type(value) not in ((int, float) if kind is float else (kind,)):
         raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:                # an integer past the float range
+        raise ConfigError(f"{key!r}: {value} is not a finite JSON number") from None
 
 
 def _particle(key: str, value) -> ParticleModel:
@@ -178,6 +183,14 @@ def _finite(token: str) -> float:
     return value
 
 
+def _int(token: str) -> int:
+    """A JSON integer; one past Python's int-from-text digit limit is refused."""
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ConfigError(f"--config: {exc}") from None
+
+
 def _config(args, keys: dict[str, _Key], input_key: str | None = None) -> dict:
     """The --config object of a command that reads ``keys``, converted.
 
@@ -186,7 +199,7 @@ def _config(args, keys: dict[str, _Key], input_key: str | None = None) -> dict:
     library default take their ``_EXAMPLE`` value.
     """
     text = Path(args.config).read_text() if args.config else "{}"
-    raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    raw = json.loads(text, parse_float=_finite, parse_int=_int, parse_constant=_finite)
     if input_key:
         keys = {**keys, input_key: _Key(input_key, str)}
     if isinstance(raw, dict):
@@ -284,14 +297,17 @@ def _calibrated_sweep(cfg: dict) -> tuple[list[PowerSweepPoint], CalibrationResu
     """The sweep points of area table ``points_csv`` (a campaign's
     ``normalized_area_vs_power.csv``), only those at ``pressure_hpa`` if
     it is given, and their calibration.  A fit's A is rebuilt as
-    area * f_q^2, so its A/f_q^2 is the table's up to the last bit."""
+    area * f_q^2, so its A/f_q^2 is the table's up to the last bit.
+    A ``pressure_hpa`` that matches no row is a :class:`ConfigError`."""
     pressure_filter = cfg.get("pressure_hpa")
     grouped: dict[tuple, dict] = {}
+    table_pressures: set[float] = set()
     with _malformed(cfg["points_csv"]):
         rows = np.loadtxt(cfg["points_csv"], delimiter=",", skiprows=1, ndmin=2, dtype=str)
         for row in rows:
             pressure, axis, power = float(row[0]), str(row[1]), float(row[2])
             rep = int(float(row[3]))
+            table_pressures.add(pressure)
             if pressure_filter is not None and not math.isclose(pressure, pressure_filter):
                 continue
             area, sigma, f_q, gamma = (float(v) for v in row[4:8])
@@ -299,6 +315,11 @@ def _calibrated_sweep(cfg: dict) -> tuple[list[PowerSweepPoint], CalibrationResu
                 A=area * f_q**2, f_q=f_q, gamma=gamma, floor=0.0, converged=True,
                 uncertainties={"A": sigma * f_q**2, "f_q": 0.0, "gamma": 0.0},
             )
+    if table_pressures and not grouped:
+        raise ConfigError(
+            f"pressure_hpa {pressure_filter} matches no row of {cfg['points_csv']}; "
+            f"its pressures are {', '.join(f'{p:g}' for p in sorted(table_pressures))} hPa"
+        )
     sweep = [
         PowerSweepPoint(laser_power=power, repetition_index=rep,
                         pressure_hpa=pressure, fits=fits)

@@ -344,21 +344,22 @@ def read_trace(path, axes: Sequence[str] | None = None) -> TimeTrace:
 # =============================================================================
 
 def write_psd(psd: Psd, path) -> Path:
-    """Write a PSD as CSV (f_Hz, S) with window/segment sidecar."""
+    """Write a PSD as CSV (f_Hz, S) with a segment-count and sampling-step sidecar."""
     return _write_columns(
         path, "f_Hz,S", [psd.frequencies, psd.values],
-        {"window": psd.window_name, "segments": psd.segment_count, "dt_s": psd.dt},
+        {"segments": psd.segment_count, "dt_s": psd.dt},
     )
 
 
 def read_psd(path) -> Psd:
+    """Read a PSD written by :func:`write_psd`; a sidecar's ``"window"``
+    key, which older files carry, is ignored (every PSD is Hann)."""
     with _malformed(path):
         data, meta = _read_columns(path)
         return Psd(
             frequencies=data[:, 0],
             values=data[:, 1],
             segment_count=int(meta["segments"]),
-            window_name=meta["window"],
             dt=float(meta["dt_s"]),
         )
 

@@ -350,7 +350,13 @@ class EsrSettings:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Full specification of a simulated measurement campaign."""
+    """Full specification of a simulated measurement campaign.
+
+    Every trace axis gets a :func:`~hotbrownian.spectral.welch_psd` of
+    ``segment_length`` samples and a Lorentzian fit over all bins above
+    DC.  The fit takes in a constant noise floor exactly when
+    ``measurement_noise_psd`` [V^2/Hz] is above zero.
+    """
 
     pressures_hpa: tuple[float, ...]
     laser_powers_mw: tuple[float, ...]
@@ -368,8 +374,6 @@ class CampaignConfig:
     rng_seed: int = 0
     esr: EsrSettings = field(default_factory=EsrSettings)
     segment_length: int = _default(welch_psd, "segment_length")
-    fit_band: tuple[float, float] | None = None
-    noise_floor: str = _default(fit_psd, "noise_floor")
     measurement_noise_psd: float = 0.0
     thresholds: ClassificationThresholds = field(default_factory=ClassificationThresholds)
     thermometry_only: bool = False
@@ -448,15 +452,17 @@ def _trace_cell(
 ) -> PowerSweepPoint:
     """PSD fits of repetition ``rep`` of one trace at ``power`` [mW] in ``gas``.
 
-    The trace and the last PSD stay in ``held`` until the next cell puts
-    its own there (see :func:`run_campaign`).  Raises
+    Each fit takes in a constant floor exactly when the traces carry
+    detector noise.  The trace and the last PSD stay in ``held`` until the
+    next cell puts its own there (see :func:`run_campaign`).  Raises
     :class:`EstimationError` when the PSD fit of an axis does not converge.
     """
     held["trace"] = trace = simulate_trace(config._simulation(gas, power, seed))
+    noise_floor = "fitted_constant" if config.measurement_noise_psd > 0 else "none"
     fits: dict[str, PsdFit] = {}
     for axis in trace.signals:
         held["psd"] = psd = welch_psd(trace, axis=axis, segment_length=config.segment_length)
-        fits[axis] = fit_psd(psd, fit_band=config.fit_band, noise_floor=config.noise_floor)
+        fits[axis] = fit_psd(psd, noise_floor=noise_floor)
         if not fits[axis].converged:
             raise EstimationError(f"PSD fit did not converge on axis {axis!r}")
     return PowerSweepPoint(laser_power=power, repetition_index=rep,

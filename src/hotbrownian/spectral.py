@@ -38,61 +38,35 @@ _WELCH_BLOCK_SAMPLES = 2**20
 
 @dataclass
 class Psd:
-    """One-sided Welch PSD estimate."""
+    """One-sided Welch PSD estimate of periodic Hann segments at half overlap."""
 
     frequencies: np.ndarray              # [Hz], starts at 0
     values: np.ndarray                   # [signal^2/Hz]
     segment_count: int
-    window_name: str
     dt: float                            # [s]
 
 
-# Cosine-sum coefficients of the built-in windows, written as scipy writes
-# them (hamming's 1 - 0.54, not 0.46), so that the arrays come out
-# bit-identical to scipy's get_window.
-_COSINE_WINDOWS = {
-    "hann": (0.5, 1.0 - 0.5),
-    "hamming": (0.54, 1.0 - 0.54),
-    "blackman": (0.42, 0.50, 0.08),
-}
-
-
 @functools.lru_cache(maxsize=8)
-def _window(name: str, length: int) -> np.ndarray:
-    """Read-only periodic window array, computed once per (name, length).
+def _hann(length: int) -> np.ndarray:
+    """Read-only periodic Hann window, computed once per length.
 
-    The cosine-sum windows of ``_COSINE_WINDOWS`` are built here with
-    scipy's general-cosine arithmetic; any other name goes through
-    :func:`scipy.signal.get_window`, imported on first use only.
+    Written with scipy's general-cosine arithmetic, so that it is
+    bit-identical to scipy's ``get_window("hann", length)``.
     """
-    coeffs = _COSINE_WINDOWS.get(name)
-    if coeffs is None:
-        import scipy.signal
-
-        try:
-            win = scipy.signal.get_window(name, length)
-        except ValueError as exc:
-            raise DomainError(f"invalid window {name!r}: {exc}") from exc
-    elif length <= 1:
+    if length <= 1:
         win = np.ones(length)
     else:
-        fac = np.linspace(-np.pi, np.pi, length + 1)
-        win = np.zeros(length + 1)
-        for k, a_k in enumerate(coeffs):
-            win += a_k * np.cos(k * fac)
-        win = win[:-1]
+        win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, length + 1)[:-1])
     win.flags.writeable = False
     return win
 
 
-def welch_psd(
-    trace,
-    axis: str = "x",
-    segment_length: int = 16384,
-    overlap_fraction: float = 0.5,
-    window: str = "hann",
-) -> Psd:
+def welch_psd(trace, axis: str = "x", segment_length: int = 16384) -> Psd:
     """Welch-averaged one-sided PSD of one trace axis.
+
+    Segments are periodic-Hann windowed and overlap by half: the
+    estimate of scipy's ``welch(detrend=False, scaling="density")`` at
+    its default window and overlap.
 
     Parameters
     ----------
@@ -105,12 +79,6 @@ def welch_psd(
         Which axis to take from ``trace.signals``.
     segment_length:
         Samples per Welch segment; clipped to the trace length.
-    overlap_fraction:
-        Fractional segment overlap in [0, 1).
-    window:
-        ``"hann"``, ``"hamming"`` and ``"blackman"`` are built in; any
-        other name goes through :func:`scipy.signal.get_window`, and
-        one it does not know raises :class:`DomainError`.
 
     Notes
     -----
@@ -132,14 +100,11 @@ def welch_psd(
         raise DomainError("signal must be a 1-D array with at least 2 samples")
     if not np.isfinite(signal).all():
         raise DomainError("signal contains non-finite samples")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise DomainError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
     if segment_length < 2:
         raise DomainError(f"segment_length must be >= 2, got {segment_length}")
 
     nperseg = min(int(segment_length), signal.size)
-    noverlap = int(nperseg * overlap_fraction)
-    step = nperseg - noverlap
+    step = nperseg - nperseg // 2
     n_segments = 1 + (signal.size - nperseg) // step
 
     # Same estimate as scipy's welch(detrend=False, scaling="density")
@@ -148,7 +113,7 @@ def welch_psd(
     # (numpy 2.4, scipy 1.17) but caches no plan: scipy.fft keeps one per
     # length (131 kB at 16384), allocated above the caller's trace, which
     # then kept the trace's heap space from being trimmed once freed.
-    win = _window(window, nperseg)
+    win = _hann(nperseg)
     segments = np.lib.stride_tricks.sliding_window_view(signal, nperseg)[::step]
     block = max(1, _WELCH_BLOCK_SAMPLES // nperseg)
     values = np.zeros(nperseg // 2 + 1)
@@ -173,7 +138,6 @@ def welch_psd(
         frequencies=freqs,
         values=values,
         segment_count=int(n_segments),
-        window_name=str(window),
         dt=dt,
     )
 

@@ -167,6 +167,18 @@ class TestCalibrateCommand:
         assert out == ""
         assert "different axes (x) vs (x, y)" in err
 
+    def test_pressure_of_no_row_exits_3_naming_the_table_pressures(self, tmp_path, capsys):
+        rows = [
+            (pressure, "x", p, 0, 4.0e-9 + 2.5e-11 * p, 0.0, 5e4, 3e3)
+            for pressure in (45.0, 100.0) for p in (20.0, 60.0, 100.0, 140.0)
+        ]
+        cfg = write_json(tmp_path / "cal.json", {"pressure_hpa": 50.0})
+        code, out, err = run(capsys, "calibrate", area_table(tmp_path / "areas.csv", rows),
+                             "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert "pressure_hpa 50.0 matches no row" in err and "45, 100 hPa" in err
+
     def test_three_column_table_exits_3_naming_the_file(self, tmp_path, capsys):
         table = tmp_path / "areas.csv"
         table.write_text("pressure_hpa,axis,laser_power_mw\n45.0,x,20.0\n45.0,x,60.0\n")
@@ -386,15 +398,6 @@ class TestErrorExits:
         assert code == 3
         assert "noise_floor" in err
 
-    def test_unknown_window_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        sim = write_json(tmp_path / "sim.json", {"duration_s": 0.01, "dt_s": 1e-6})
-        assert run(capsys, "simulate", "--config", sim, "--out", "trace.csv")[0] == 0
-        psd_cfg = write_json(tmp_path / "psd.json", {"window": "nosuchwindow"})
-        code, _, err = run(capsys, "psd", "trace.csv", "--config", psd_cfg)
-        assert code == 3
-        assert "window" in err
-
     def test_non_numeric_psd_exits_3_naming_the_file(self, tmp_path, capsys):
         sim = write_json(tmp_path / "sim.json", {"duration_s": 0.01, "dt_s": 1e-6})
         trace, psd = str(tmp_path / "trace.csv"), tmp_path / "bad.csv"
@@ -435,7 +438,11 @@ class TestErrorExits:
 # =============================================================================
 
 # Keys a command no longer reads: refused like any unknown key.
-GONE_KEYS = {"fit-psd": ("weighting", "log_space", "alias_fold")}
+GONE_KEYS = {
+    "fit-psd": ("weighting", "log_space", "alias_fold"),
+    "psd": ("window", "overlap_fraction"),
+    "campaign": ("noise_floor", "fit_band"),
+}
 
 # One key each command reads, to find among the valid keys an error names.
 VALID_KEY = {
@@ -498,6 +505,8 @@ class TestConfigChecks:
         ("extract-k", '{"temperature": [[20, 297.4], [60, 304.2], [100, 311.0], '
                       '[140, -Infinity]]}', "-Infinity"),
         ("simulate", '{"duration_s": 1e400}', "1e400"),    # overflows to inf
+        pytest.param("simulate", '{"duration_s": 1' + 400 * "0" + "}", "1" + 400 * "0",
+                     id="simulate-integer-past-the-float-range"),
     ])
     def test_non_json_number_exits_3_naming_it(self, command, text, token, tmp_path,
                                                capsys, monkeypatch):
@@ -510,6 +519,17 @@ class TestConfigChecks:
         assert code == 3
         assert out == ""
         assert f"{token} is not a finite JSON number" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python reads integers of any length")
+    def test_integer_past_the_digit_limit_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1' + sys.get_int_max_str_digits() * "0" + "}")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "t.csv"))
+        assert code == 3
+        assert out == ""
+        assert "digits" in err
 
     @pytest.mark.parametrize("change, match", [
         ({"duration_s": 1e-4, "dt_s": 1e-6}, "fewer than 1000 steps"),
@@ -660,7 +680,7 @@ trace = simulate_trace(SimulationConfig(
     gas=GasEnvironment(pressure=45.0),
     particle=ParticleModel(shape=Sphere(radius=500e-9), density=3500.0),
     heating=HeatingLaw(kappa_heat=17.0, T0=294.0)))
-fit_psd(welch_psd(trace, segment_length=4096, window="hann"))
+fit_psd(welch_psd(trace, segment_length=4096))
 print(" ".join(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules))
 """
 
@@ -685,7 +705,7 @@ f = np.fft.rfftfreq(n, dt)
 shape = 1.0 / np.sqrt((f0**2 - f**2) ** 2 + (gamma * f) ** 2)
 noise = np.random.default_rng(1).standard_normal(n)
 trace = TimeTrace(dt=dt, signals={"x": np.fft.irfft(np.fft.rfft(noise) * shape, n)})
-write_psd(welch_psd(trace, segment_length=4096, window="hann"), sys.argv[1])
+write_psd(welch_psd(trace, segment_length=4096), sys.argv[1])
 fit_psd(read_psd(sys.argv[1]))
 print("scipy.linalg" in sys.modules)
 """

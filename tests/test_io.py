@@ -230,8 +230,7 @@ class TestBlockWriter:
             return "t_s,Vx,Vy", 5 * np.arange(n), "%de-7", [a, b]
         f = np.linspace(2.87e9 - 3e7, 2.87e9 + 3e7, n)
         if kind == "psd":
-            write_psd(hb.Psd(frequencies=f, values=b, segment_count=3,
-                             window_name="hann", dt=5e-7), path)
+            write_psd(hb.Psd(frequencies=f, values=b, segment_count=3, dt=5e-7), path)
             return "f_Hz,S", None, None, [f, b]
         write_esr(hb.EsrSpectrum(microwave_frequencies=f, pl_counts=b), path)
         return "f_Hz,counts", None, None, [f, b]
@@ -282,8 +281,7 @@ class TestDecimalFields:
     def test_psd_round_trip_of_any_double(self, values, tmp_path_factory):
         values = np.array(values)
         path = tmp_path_factory.mktemp("psd") / "psd.csv"
-        write_psd(hb.Psd(frequencies=values[::-1].copy(), values=values, segment_count=1,
-                         window_name="hann", dt=1e-6), path)
+        write_psd(hb.Psd(frequencies=values[::-1].copy(), values=values, segment_count=1, dt=1e-6), path)
         back = read_psd(path)
         assert same_values(back.values, values)
         assert same_values(back.frequencies, values[::-1])
@@ -310,8 +308,7 @@ class TestDecimalFields:
             values += [up, down]
         values = np.array(values + [-v for v in values])
         path = tmp_path / "psd.csv"
-        write_psd(hb.Psd(frequencies=values, values=values, segment_count=1,
-                         window_name="hann", dt=1e-6), path)
+        write_psd(hb.Psd(frequencies=values, values=values, segment_count=1, dt=1e-6), path)
         fields = [row.split(",")[1] for row in path.read_text().splitlines()[1:]]
         assert fields == [reference_field(v) for v in values.tolist()]
         np.testing.assert_array_equal(read_psd(path).values.view(np.uint64),
@@ -345,13 +342,24 @@ class TestSpectrumIo:
     def test_psd_round_trip(self, small_trace, tmp_path):
         psd = welch_psd(small_trace, axis="x", segment_length=512)
         path = tmp_path / "psd_x.csv"
-        write_psd(psd, path)
+        sidecar = write_psd(psd, path)
         back = read_psd(path)
         np.testing.assert_array_equal(back.frequencies, psd.frequencies)
         np.testing.assert_array_equal(back.values, psd.values)
         assert back.segment_count == psd.segment_count
-        assert back.window_name == psd.window_name
         assert back.dt == psd.dt
+        assert json.loads(sidecar.read_text()).keys() == {"segments", "dt_s"}
+
+    def test_reads_an_older_sidecar_that_names_its_window(self, small_trace, tmp_path):
+        # Sidecars used to carry the window; every PSD is Hann now, and the
+        # key is read past whatever it says.
+        path = tmp_path / "psd_x.csv"
+        psd = welch_psd(small_trace, axis="x", segment_length=512)
+        sidecar = write_psd(psd, path)
+        sidecar.write_text(json.dumps({"window": "hamming", **json.loads(sidecar.read_text())}))
+        back = read_psd(path)
+        np.testing.assert_array_equal(back.values, psd.values)
+        assert (back.segment_count, back.dt) == (psd.segment_count, psd.dt)
 
     def test_null_sampling_step_is_a_config_error_naming_the_file(self, small_trace, tmp_path):
         path = tmp_path / "psd_x.csv"
