@@ -170,5 +170,11 @@ def least_squares_gn(
             converged = True
             break
 
-    cov = np.linalg.pinv(J.T @ J)
+    # pinv(J^T J) of unit-norm columns: columns of very different scales
+    # (a noise floor's runs about 1e10 times a line parameter's) would
+    # otherwise put the smaller directions under pinv's cut-off.
+    norms = np.linalg.norm(J, axis=0)
+    norms[norms == 0] = 1.0
+    unit = J / norms
+    cov = np.linalg.pinv(unit.T @ unit) / np.outer(norms, norms)
     return GnResult(params=p, cov_unscaled=cov, cost=cost, n_iter=n_iter, converged=converged)

@@ -464,6 +464,18 @@ class TestRunCampaign:
         # drag is axis-independent: the x/y linewidth ratio centers on 1
         assert est.gamma_ratio_mean == pytest.approx(1.0, abs=0.05)
 
+    def test_detector_noise_is_fitted_as_a_floor(self, mini_campaign):
+        # White detector noise lifts every PSD by a flat floor; each fit takes
+        # it in, and the pooled K and its sigma stay those of the clean run.
+        config, clean = mini_campaign
+        noisy = run_campaign(replace(config, measurement_noise_psd=1e-9))
+        assert noisy.errors == []
+        assert all(fit.floor > 0 for pt in noisy.points for fit in pt.fits.values())
+        for axis, (k, sigma) in noisy.estimate.k_per_axis.items():
+            k_clean, sigma_clean = clean.estimate.k_per_axis[axis]
+            assert abs(k - k_clean) < sigma, axis
+            assert sigma == pytest.approx(sigma_clean, rel=0.2), axis
+
     def test_campaign_is_seed_deterministic(self, mini_campaign):
         config, report = mini_campaign
         again = run_campaign(config)

@@ -305,6 +305,22 @@ class TestFitNoisyRecovery:
         assert -0.06 < fit.A / a - 1 < 0.02
         assert fit.fit_residual == pytest.approx(1.0 / k, rel=0.5)
 
+    def test_fitted_floor_keeps_the_line_sigmas(self):
+        # A floor at 1e-4 of the peak costs the line little information, so
+        # the line's sigmas stay near those of the same spectrum without it,
+        # although the floor's Jacobian column is ~1e10 times the others.
+        a, fq, gamma, k = 3.2e-4, 1.8e5, 3.0e3, 11
+        f = model_grid()
+        line = psd_model(f, a, fq, gamma, sample_rate=FS)
+        scatter = np.random.default_rng(0).chisquare(2 * k, size=f.size) / (2 * k)
+        plain = fit_psd(make_psd(f, line * scatter, segment_count=k))
+        lifted = fit_psd(make_psd(f, (line + 1e-4 * line.max()) * scatter, segment_count=k),
+                         noise_floor="fitted_constant")
+        assert plain.converged and lifted.converged
+        for name in ("A", "f_q", "gamma"):
+            assert lifted.uncertainties[name] == pytest.approx(plain.uncertainties[name],
+                                                               rel=0.1), name
+
 
 # =============================================================================
 # fit_psd: the Lorentzian kernel against psd_model
